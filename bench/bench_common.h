@@ -143,11 +143,6 @@ struct TrialRecord {
   std::uint64_t deliveries = 0;
   std::uint64_t queue_depth_peak = 0;
   std::string status = "completed";  ///< RunStatus of the trial
-  // Intra-run sharding extras (new keys; shards stays 1 for trials that
-  // ran single-threaded, so existing trajectories are unaffected).
-  std::uint32_t shards = 1;
-  std::uint64_t epochs = 0;
-  std::uint64_t cross_shard_messages = 0;
 };
 
 inline TrialRecord make_record(std::string family, std::size_t n,
@@ -170,9 +165,6 @@ inline TrialRecord make_record(std::string family, std::size_t n,
   rec.deliveries = r.run.metrics.deliveries;
   rec.queue_depth_peak = r.run.metrics.queue_depth_peak;
   rec.status = to_string(r.run.status);
-  rec.shards = r.shards;
-  rec.epochs = r.epochs;
-  rec.cross_shard_messages = r.cross_shard_messages;
   return rec;
 }
 
@@ -212,16 +204,11 @@ class Harness {
         retries_ = static_cast<std::uint32_t>(std::stoull(next()));
       } else if (a == "--record-metrics") {
         record_metrics_ = true;
-      } else if (a == "--shards") {
-        shards_ = static_cast<std::uint32_t>(std::stoull(next()));
-      } else if (a == "--shard-min-nodes") {
-        shard_min_nodes_ = static_cast<std::size_t>(std::stoull(next()));
       } else {
         std::cerr << "error: unknown option '" << a
                   << "' (supported: --jobs N, --json FILE, --no-json, "
                      "--no-advice-cache, --fault-rate P, --fault-seed S, "
-                     "--deadline-ms T, --retries K, --record-metrics, "
-                     "--shards N, --shard-min-nodes N)\n";
+                     "--deadline-ms T, --retries K, --record-metrics)\n";
         std::exit(2);
       }
     }
@@ -230,15 +217,7 @@ class Harness {
     }
     const RetryPolicy retry{retries_, 0x9e3779b97f4a7c15ULL,
                             /*retry_task_failures=*/fault_rate_ > 0};
-    // --shards alone (without --shard-min-nodes) shards every graph of at
-    // least 2 nodes; --shard-min-nodes alone shards with one worker per
-    // hardware thread.
-    ShardPolicy shard;
-    if (shards_ != 0 || shard_min_nodes_ != 0) {
-      shard.shards = shards_;
-      shard.min_nodes = shard_min_nodes_ == 0 ? 2 : shard_min_nodes_;
-    }
-    runner_ = BatchRunner(jobs, advice_cache_, retry, shard);
+    runner_ = BatchRunner(jobs, advice_cache_, retry);
   }
 
   Harness(const Harness&) = delete;
@@ -318,9 +297,7 @@ class Harness {
           << (r.advice_cached ? "true" : "false") << ", \"ok\": "
           << (r.ok ? "true" : "false")
           << ", \"graph_build_ns\": " << r.graph_build_ns
-          << ", \"graph_bytes_per_edge\": " << r.graph_bytes_per_edge
-          << ", \"shards\": " << r.shards << ", \"epochs\": " << r.epochs
-          << ", \"cross_shard_messages\": " << r.cross_shard_messages;
+          << ", \"graph_bytes_per_edge\": " << r.graph_bytes_per_edge;
       if (record_metrics_) {
         out << ", \"deliveries\": " << r.deliveries
             << ", \"queue_depth_peak\": " << r.queue_depth_peak
@@ -345,8 +322,6 @@ class Harness {
   std::uint64_t deadline_ms_ = 0;
   std::uint32_t retries_ = 0;
   bool record_metrics_ = false;
-  std::uint32_t shards_ = 0;
-  std::size_t shard_min_nodes_ = 0;
   BatchRunner runner_{1};
   std::vector<TrialRecord> records_;
   /// Accumulated across run() calls; run() is const (the harness is shared

@@ -148,10 +148,6 @@ int main(int argc, char** argv) {
   bool json_enabled = true;
   bool smoke = false;
   std::size_t seeds = 0;  // 0 = default for the chosen size
-  // Optional intra-run sharding: routes qualifying runs through the
-  // sharded engine under the full fault matrix — the TSan CI configuration
-  // (identical results either way; see core/batch_runner.h ShardPolicy).
-  ShardPolicy shard;
   // Each cell's seeds form one seed family, so by default the sweep rides
   // the lockstep executor; --no-seed-batch restores the scalar path.
   SeedBatchPolicy seed_batch;
@@ -176,16 +172,10 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (a == "--no-seed-batch") {
       seed_batch.enabled = false;
-    } else if (a == "--shards") {
-      shard.shards = static_cast<std::uint32_t>(std::stoull(next()));
-      if (shard.min_nodes == 0) shard.min_nodes = 2;
-    } else if (a == "--shard-min-nodes") {
-      shard.min_nodes = static_cast<std::size_t>(std::stoull(next()));
     } else {
       std::cerr << "error: unknown option '" << a
                 << "' (supported: --jobs N, --json FILE, --no-json, "
-                   "--seeds-per-cell K, --smoke, --no-seed-batch, "
-                   "--shards N, --shard-min-nodes N)\n";
+                   "--seeds-per-cell K, --smoke, --no-seed-batch)\n";
       return 2;
     }
   }
@@ -252,12 +242,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0}, shard,
+  const BatchRunner bare(jobs, /*advice_cache=*/true, RetryPolicy{0}, {},
                          seed_batch);
   const RetryPolicy retry_policy{2, 0x9e3779b97f4a7c15ULL,
                                  /*retry_task_failures=*/true};
-  const BatchRunner retrying(jobs, /*advice_cache=*/true, retry_policy,
-                             shard, seed_batch);
+  const BatchRunner retrying(jobs, /*advice_cache=*/true, retry_policy, {},
+                             seed_batch);
   std::vector<BatchStats> bare_stats(scheds.size());
   std::vector<std::vector<TaskReport>> bare_reports(scheds.size());
   std::vector<std::vector<TaskReport>> retry_reports(scheds.size());

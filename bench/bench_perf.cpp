@@ -13,13 +13,6 @@
 //                                              nested builder layout: advise
 //                                              time, build time, bytes/edge
 //                                              per row -> BENCH_perf_csr.json
-//   bench_perf --shard-scale [--scale-n N] [--repeat N]
-//              [--json F | --no-json]          sharded engine vs the
-//                                              single-threaded engine on
-//                                              million-node graphs, at shard
-//                                              counts 1/2/4/8, with a
-//                                              bit-identity check per row
-//                                              -> BENCH_perf_shard.json
 //   bench_perf --seed-batch [--lanes R] [--smoke] [--repeat N] [--jobs N]
 //              [--json F | --no-json]          seed-batched lockstep executor
 //                                              vs the scalar BatchRunner path
@@ -89,7 +82,6 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
-#include "sim/sharded_engine.h"
 #include "util/table.h"
 
 namespace {
@@ -378,19 +370,23 @@ int run_sweep(int argc, char** argv) {
 // light-tree phases, and port_towards scans, preserved verbatim in
 // bench/legacy_ref.h — while the "csr" side runs the production oracles
 // (TreeWakeupOracle with its bfs tree, LightBroadcastOracle with its light
-// tree) on the frozen graph. Build time compares constructing the
-// builder-state graph from scratch against builder + freeze(); memory is
+// tree) on the frozen graph. Build time rebuilds each graph from the same
+// edge list on both sides: into the builder state ("nested"), and into the
+// builder state plus freeze() ("csr"), min of --repeat runs; memory is
 // PortGraph::memory_bytes() in each state (capacity slack included — what
 // the process actually holds). tools/perf_gate.py checks the committed
 // BENCH_perf_csr.json against a fresh run.
 // ---------------------------------------------------------------------------
 
-/// Builder-state copy of a frozen graph: same nodes, labels, edges, ports —
-/// the pre-CSR nested-vector layout.
-PortGraph rebuild_nested(const PortGraph& g) {
+/// Copy of `g` rebuilt from its labels and `edges` (= g.edges()): same
+/// nodes, edges and ports, in the pre-CSR nested-vector builder layout, or
+/// compacted into the frozen CSR layout when `freeze` is set.
+PortGraph rebuild(const PortGraph& g, const std::vector<Edge>& edges,
+                  bool freeze) {
   PortGraph out(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) out.set_label(v, g.label(v));
-  for (const Edge& e : g.edges()) out.add_edge(e.u, e.port_u, e.v, e.port_v);
+  for (const Edge& e : edges) out.add_edge(e.u, e.port_u, e.v, e.port_v);
+  if (freeze) out.freeze();
   return out;
 }
 
@@ -466,13 +462,16 @@ int run_csr_compare(int argc, char** argv) {
     row.family = w.family;
     row.n = w.n;
     row.m = w.graph.num_edges();
-    row.build_csr_ns = w.build_ns;
     row.bpe_csr = bench::bytes_per_edge(w.graph);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const PortGraph nested = rebuild_nested(w.graph);
-    row.build_nested_ns = since_ns(t0);
-    row.bpe_nested = bench::bytes_per_edge(nested);
+    const std::vector<Edge> edges = w.graph.edges();
+    row.build_nested_ns = time_min_ns(repeat, sink, [&] {
+      return rebuild(w.graph, edges, false).num_edges();
+    });
+    row.build_csr_ns = time_min_ns(repeat, sink, [&] {
+      return rebuild(w.graph, edges, true).num_edges();
+    });
+    row.bpe_nested = bench::bytes_per_edge(rebuild(w.graph, edges, false));
 
     // The "nested" advise numbers run the pre-rework pipeline (legacy
     // layout AND legacy kernels — see bench/legacy_ref.h); the "csr"
@@ -549,175 +548,6 @@ int run_csr_compare(int argc, char** argv) {
   std::cerr << "[bench] wrote " << rows.size() << " CSR comparison rows to "
             << json_path << "\n";
   return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --shard-scale: the sharded engine's scaling measurement.
-//
-// Three large sparse families derived from one size parameter N (default
-// 10^6, raise with --scale-n up to ~10^7): a sparse random connected graph,
-// a square grid, and a hypercube. Each runs the wakeup task once per shard
-// count in {1, 2, 4, 8} — shards = 1 is the unmodified single-threaded
-// engine, the measurement baseline — and every sharded run's RunResult is
-// compared against that baseline ("identical" per row; the engine's whole
-// contract). Timing is min-of---repeat (default 1: one run of a million-
-// node graph is already seconds). The JSON header records
-// hardware_concurrency because the speedup column is only meaningful when
-// the host has at least as many cores as shards; tools/perf_gate.py skips
-// scaling-ratio gating otherwise but always enforces the identity bits.
-// ---------------------------------------------------------------------------
-
-int run_shard_scale(int argc, char** argv) {
-  std::size_t scale_n = 1'000'000;
-  std::size_t repeat = 1;
-  std::string json_path = "BENCH_perf_shard.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale-n") == 0 && i + 1 < argc) {
-      scale_n = std::max<std::size_t>(1024, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (shard-scale supports: --scale-n N, --repeat N, "
-                   "--json FILE, --no-json)\n";
-      return 2;
-    }
-  }
-
-  Rng rng(0xbeefcafeULL);
-  std::vector<bench::Workload> loads;
-  loads.push_back(bench::timed_workload(
-      "random-sparse", scale_n, [&] {
-        return make_random_connected_sparse(scale_n, scale_n / 4, rng);
-      }));
-  std::size_t side = 1;
-  while ((side + 1) * (side + 1) <= scale_n) ++side;
-  loads.push_back(bench::timed_workload(
-      "grid", side * side, [&] { return make_grid(side, side); }));
-  int d = 10;
-  while (d < 20 && (std::size_t{1} << (d + 1)) <= scale_n) ++d;
-  loads.push_back(bench::timed_workload(
-      "hypercube", std::size_t{1} << d, [&] { return make_hypercube(d); }));
-
-  struct Row {
-    std::string family;
-    std::size_t n = 0;
-    std::size_t m = 0;
-    std::uint32_t shards = 1;
-    std::uint64_t run_ns = 0;
-    double speedup_vs_1 = 1.0;
-    bool identical = true;
-    bool fell_back = false;
-    std::uint64_t epochs = 0;
-    std::uint64_t cross_shard_messages = 0;
-  };
-
-  const TreeWakeupOracle oracle;
-  const WakeupTreeAlgorithm algorithm;
-  RunOptions opts;
-  opts.enforce_wakeup = true;
-  const std::uint32_t shard_counts[] = {1, 2, 4, 8};
-  std::vector<Row> rows;
-  for (const bench::Workload& w : loads) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<BitString> advice = oracle.advise(w.graph, 0);
-    const std::uint64_t advise_ns = since_ns(t0);
-    std::cerr << "[bench] " << w.family << " n=" << w.graph.num_nodes()
-              << " built in " << static_cast<double>(w.build_ns) / 1e9
-              << " s, advised in " << static_cast<double>(advise_ns) / 1e9
-              << " s\n";
-
-    RunResult baseline;
-    std::uint64_t baseline_ns = 0;
-    for (const std::uint32_t shards : shard_counts) {
-      Row row;
-      row.family = w.family;
-      row.n = w.graph.num_nodes();
-      row.m = w.graph.num_edges();
-      row.shards = shards;
-      RunResult result;
-      row.run_ns = std::numeric_limits<std::uint64_t>::max();
-      if (shards == 1) {
-        ExecutionContext engine;
-        for (std::size_t r = 0; r < repeat; ++r) {
-          const auto t1 = std::chrono::steady_clock::now();
-          result = engine.run(w.graph, 0, advice, algorithm, opts);
-          row.run_ns = std::min(row.run_ns, since_ns(t1));
-        }
-        baseline = result;
-        baseline_ns = row.run_ns;
-      } else {
-        ShardedExecutionContext engine(shards);
-        for (std::size_t r = 0; r < repeat; ++r) {
-          const auto t1 = std::chrono::steady_clock::now();
-          result = engine.run(w.graph, 0, advice, algorithm, opts);
-          row.run_ns = std::min(row.run_ns, since_ns(t1));
-        }
-        row.identical = result == baseline;
-        row.fell_back = engine.last_stats().fell_back;
-        row.epochs = engine.last_stats().epochs;
-        row.cross_shard_messages = engine.last_stats().cross_shard_messages;
-      }
-      row.speedup_vs_1 =
-          row.run_ns > 0 ? static_cast<double>(baseline_ns) /
-                               static_cast<double>(row.run_ns)
-                         : 0.0;
-      rows.push_back(row);
-    }
-  }
-
-  Table t({"family", "n", "shards", "run_ms", "speedup_vs_1", "identical",
-           "epochs", "cross_msgs"});
-  for (const Row& r : rows) {
-    t.row()
-        .cell(r.family)
-        .cell(r.n)
-        .cell(r.shards)
-        .cell(static_cast<double>(r.run_ns) / 1e6, 3)
-        .cell(r.speedup_vs_1, 2)
-        .cell(r.identical ? (r.fell_back ? "fallback" : "yes") : "NO")
-        .cell(r.epochs)
-        .cell(r.cross_shard_messages);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  t.print(std::cout, "sharded engine scaling (wakeup task, min of " +
-                         std::to_string(repeat) + ", host cores = " +
-                         std::to_string(hw) + ")");
-  bool all_identical = true;
-  for (const Row& r : rows) all_identical = all_identical && r.identical;
-  std::cout << "bit-identity vs shards=1: "
-            << (all_identical ? "all rows identical" : "MISMATCH") << "\n";
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << json_path << "\n";
-    } else {
-      out << "{\n  \"bench\": \"perf_shard\",\n"
-          << "  \"hardware_concurrency\": " << hw << ",\n"
-          << "  \"repeat\": " << repeat << ",\n  \"rows\": [";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << (i == 0 ? "\n" : ",\n") << "    {\"family\": \"" << r.family
-            << "\", \"n\": " << r.n << ", \"m\": " << r.m
-            << ", \"shards\": " << r.shards << ", \"run_ns\": " << r.run_ns
-            << ", \"speedup_vs_1\": " << r.speedup_vs_1
-            << ", \"identical\": " << (r.identical ? "true" : "false")
-            << ", \"fell_back\": " << (r.fell_back ? "true" : "false")
-            << ", \"epochs\": " << r.epochs
-            << ", \"cross_shard_messages\": " << r.cross_shard_messages
-            << "}";
-      }
-      out << "\n  ]\n}\n";
-      std::cerr << "[bench] wrote " << rows.size()
-                << " shard scaling rows to " << json_path << "\n";
-    }
-  }
-  return all_identical ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -1601,7 +1431,6 @@ int main(int argc, char** argv) {
   std::vector<char*> rest;
   bool sweep = false;
   bool csr_compare = false;
-  bool shard_scale = false;
   bool seed_batch = false;
   bool sched_batch = false;
   bool service = false;
@@ -1610,8 +1439,6 @@ int main(int argc, char** argv) {
       sweep = true;
     } else if (i > 0 && std::strcmp(argv[i], "--csr-compare") == 0) {
       csr_compare = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--shard-scale") == 0) {
-      shard_scale = true;
     } else if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
       seed_batch = true;
     } else if (i > 0 && std::strcmp(argv[i], "--sched-batch") == 0) {
@@ -1626,7 +1453,6 @@ int main(int argc, char** argv) {
   if (service) return run_service(rest_argc, rest.data());
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
-  if (shard_scale) return run_shard_scale(rest_argc, rest.data());
   if (csr_compare) return run_csr_compare(rest_argc, rest.data());
   if (sweep) return run_sweep(rest_argc, rest.data());
   benchmark::Initialize(&rest_argc, rest.data());

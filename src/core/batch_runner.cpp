@@ -13,7 +13,6 @@
 
 #include "sim/execution_context.h"
 #include "sim/seed_batch_engine.h"
-#include "sim/sharded_engine.h"
 
 namespace oraclesize {
 
@@ -26,7 +25,6 @@ SeedFamilyKey seed_family_key(const TrialSpec& spec) {
   key.advice = spec.advice.get();
   const RunOptions& o = spec.options;
   key.scheduler = o.scheduler;
-  key.keying = o.keying;
   key.max_delay = o.max_delay;
   key.max_messages = o.max_messages;
   key.enforce_wakeup = o.enforce_wakeup;
@@ -123,9 +121,6 @@ struct TrialMetrics {
         byz_replayed(reg.counter("byz_replayed")),
         byz_structured_lies(reg.counter("byz_structured_lies")),
         byz_advice_lies(reg.counter("byz_advice_lies")),
-        sharded_trials(reg.counter("sharded_trials")),
-        sharded_epochs(reg.counter("sharded_epochs")),
-        cross_shard_messages(reg.counter("cross_shard_messages")),
         messages_per_trial(reg.histogram("messages_per_trial")),
         queue_depth_peak(reg.histogram("queue_depth_peak")),
         wakeup_latency(reg.histogram("wakeup_latency")) {}
@@ -165,11 +160,6 @@ struct TrialMetrics {
     byz_replayed.add(a.replayed);
     byz_structured_lies.add(a.structured_lies);
     byz_advice_lies.add(a.advice_lies);
-    if (report.shards > 1) {
-      sharded_trials.add();
-      sharded_epochs.add(report.epochs);
-      cross_shard_messages.add(report.cross_shard_messages);
-    }
     messages_per_trial.observe(m.messages_total);
     queue_depth_peak.observe(m.queue_depth_peak);
     for (const std::int64_t at : report.run.informed_at) {
@@ -203,21 +193,15 @@ struct TrialMetrics {
   Counter& byz_replayed;
   Counter& byz_structured_lies;
   Counter& byz_advice_lies;
-  Counter& sharded_trials;
-  Counter& sharded_epochs;
-  Counter& cross_shard_messages;
   Histogram& messages_per_trial;
   Histogram& queue_depth_peak;
   Histogram& wakeup_latency;
 };
 
-/// Executes one trial on whichever engine the caller hands in: `sharded`
-/// non-null routes the run through the sharded intra-run engine (and copies
-/// its per-run stats into the report), otherwise `context` runs it
-/// single-threaded. Both produce bit-identical RunResults.
+/// Executes one trial on `context`, advising first unless the pre-pass
+/// already resolved the advice.
 TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
-                     ExecutionContext* context,
-                     ShardedExecutionContext* sharded) {
+                     ExecutionContext& context) {
   TaskReport report;
   report.oracle_name = spec.oracle->name();
   report.algorithm_name = spec.algorithm->name();
@@ -238,18 +222,8 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
   RunOptions options = spec.options;
   if (spec.algorithm->is_wakeup()) options.enforce_wakeup = true;
   const auto started = std::chrono::steady_clock::now();
-  if (sharded != nullptr) {
-    report.run = sharded->run(*spec.graph, spec.source, *advice,
-                              *spec.algorithm, options);
-    const ShardedRunStats& st = sharded->last_stats();
-    // A fallback replay executed single-threaded; report it as such.
-    report.shards = st.fell_back ? 1 : st.shards;
-    report.epochs = st.epochs;
-    report.cross_shard_messages = st.cross_shard_messages;
-  } else {
-    report.run = context->run(*spec.graph, spec.source, *advice,
-                              *spec.algorithm, options);
-  }
+  report.run = context.run(*spec.graph, spec.source, *advice,
+                           *spec.algorithm, options);
   report.run_ns = elapsed_ns(started);
   report.wall_ns = report.advise_ns + report.run_ns;
   return report;
@@ -258,12 +232,11 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
 }  // namespace
 
 BatchRunner::BatchRunner(std::size_t jobs, bool advice_cache,
-                         RetryPolicy retry, ShardPolicy shard,
+                         RetryPolicy retry, RetiredPolicy,
                          SeedBatchPolicy seed_batch)
     : jobs_(jobs),
       advice_cache_(advice_cache),
       retry_(retry),
-      shard_(shard),
       seed_batch_(seed_batch) {
   if (jobs_ == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -398,8 +371,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
   // Fault-isolated trial execution with bounded, deterministically
   // re-seeded retry. Only the worker that claimed trial i touches
   // errors[i]/results[i], so no synchronization beyond the join is needed.
-  auto run_one = [&](std::size_t i, ExecutionContext* context,
-                     ShardedExecutionContext* sharded) {
+  auto run_one = [&](std::size_t i, ExecutionContext& context) {
     if (errors[i]) {
       // The advise() pre-pass already failed this spec; advise failures
       // are deterministic in the spec, so retrying cannot help.
@@ -411,7 +383,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
     while (true) {
       TaskReport report;
       try {
-        report = run_trial(spec, prepared[i], context, sharded);
+        report = run_trial(spec, prepared[i], context);
       } catch (...) {
         errors[i] = std::current_exception();
         report = error_report(specs[i], what_of(errors[i]));
@@ -438,40 +410,25 @@ std::vector<TaskReport> BatchRunner::run_impl(
 
   // Each trial is observed exactly once, by the worker that claimed it,
   // after its LAST attempt settled.
-  auto run_and_observe = [&](std::size_t i, ExecutionContext* context,
-                             ShardedExecutionContext* sharded) {
-    run_one(i, context, sharded);
+  auto run_and_observe = [&](std::size_t i, ExecutionContext& context) {
+    run_one(i, context);
     if (trial_metrics) trial_metrics->observe(results[i]);
   };
 
-  // Split off trials big enough for intra-run sharding. They run one at a
-  // time BEFORE the trial pool starts — the sharded engine wants every
-  // core to itself — and largest first (stable by spec index, mirroring
-  // the advise pre-pass), so the most expensive run is never the one the
-  // batch tail waits on. Result slots are fixed by spec index, so the
-  // reordering is invisible in the returned vector.
-  //
-  // What the shard split leaves is grouped by seed family: specs identical
-  // up to their seeds whose advice is already resolved (shared advice is
-  // what the lockstep pass amortizes — with the cache off every trial
-  // stays scalar, keeping the measurement baseline pure) and whose options
-  // the lockstep engine can honor become one FAMILY unit; everything else
-  // pools as scalar singles. Family membership is a pure function of the
-  // specs, so the unit list — like every result — is jobs-invariant.
+  // Group the batch by seed family: specs identical up to their seeds
+  // whose advice is already resolved (shared advice is what the lockstep
+  // pass amortizes — with the cache off every trial stays scalar, keeping
+  // the measurement baseline pure) and whose options the lockstep engine
+  // can honor become one FAMILY unit; everything else pools as scalar
+  // singles. Family membership is a pure function of the specs, so the unit
+  // list — like every result — is jobs-invariant.
   std::vector<std::size_t> pool_work;
   pool_work.reserve(specs.size());
-  std::vector<std::size_t> sharded_work;
   std::vector<std::vector<std::size_t>> family_work;
   {
     std::vector<char> claimed(specs.size(), 0);
     std::map<SeedFamilyKey, std::vector<std::size_t>> families;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (shard_.enabled() &&
-          specs[i].graph->num_nodes() >= shard_.min_nodes) {
-        sharded_work.push_back(i);
-        claimed[i] = 1;
-        continue;
-      }
       if (seed_batch_.enabled && prepared[i].advice && !errors[i] &&
           SeedBatchExecutionContext::lockstep_eligible(specs[i].options)) {
         families[seed_family_key(specs[i])].push_back(i);
@@ -498,8 +455,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
   // family; lanes retire from `pending` as their attempts settle — shared
   // lanes take the pass's RunResult, diverged lanes replay scalar on this
   // worker's context, reproducing run_one report for report.
-  auto run_family = [&](std::size_t u, ExecutionContext* context,
-                        SeedBatchExecutionContext* batched) {
+  auto run_family = [&](std::size_t u, ExecutionContext& context,
+                        SeedBatchExecutionContext& batched) {
     const std::vector<std::size_t>& members = family_work[u];
     const TrialSpec& proto = specs[members.front()];
     const AdvicePtr advice = prepared[members.front()].advice;
@@ -527,8 +484,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
         lanes.push_back({ls.seed, ls.fault_seed});
       }
       const auto started = std::chrono::steady_clock::now();
-      batched->run_lockstep(*proto.graph, proto.source, *advice,
-                            *proto.algorithm, base, lanes, disp);
+      batched.run_lockstep(*proto.graph, proto.source, *advice,
+                           *proto.algorithm, base, lanes, disp);
       const std::uint64_t lockstep_ns = elapsed_ns(started);
       std::size_t shared_count = 0;
       for (const auto d : disp) {
@@ -557,7 +514,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared
           // result.
-          report.run = batched->lane_result(j);
+          report.run = batched.lane_result(j);
           report.run_ns = shared_ns;
           report.wall_ns = report.advise_ns + report.run_ns;
         } else {
@@ -565,7 +522,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
           attempt_spec.options.seed = pending[j].seed;
           attempt_spec.options.fault.seed = pending[j].fault_seed;
           try {
-            report = run_trial(attempt_spec, prepared[i], context, nullptr);
+            report = run_trial(attempt_spec, prepared[i], context);
           } catch (...) {
             errors[i] = std::current_exception();
             report = error_report(specs[i], what_of(errors[i]));
@@ -592,17 +549,6 @@ std::vector<TaskReport> BatchRunner::run_impl(
       pending.swap(still_pending);
     }
   };
-  if (!sharded_work.empty()) {
-    std::stable_sort(sharded_work.begin(), sharded_work.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return specs[a].graph->num_edges() >
-                              specs[b].graph->num_edges();
-                     });
-    ShardedExecutionContext sharded(shard_.shards);
-    for (const std::size_t i : sharded_work) {
-      run_and_observe(i, nullptr, &sharded);
-    }
-  }
 
   // One heterogeneous work list for the pool: family units first (they are
   // the batch's biggest chunks — a unit landing on the pool last would
@@ -627,9 +573,9 @@ std::vector<TaskReport> BatchRunner::run_impl(
     SeedBatchExecutionContext batched;
     for (const WorkItem& item : items) {
       if (item.family) {
-        run_family(item.index, &context, &batched);
+        run_family(item.index, context, batched);
       } else {
-        run_and_observe(item.index, &context, nullptr);
+        run_and_observe(item.index, context);
       }
     }
   } else {
@@ -648,9 +594,9 @@ std::vector<TaskReport> BatchRunner::run_impl(
           const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
           if (k >= items.size()) break;
           if (items[k].family) {
-            run_family(items[k].index, &context, &batched);
+            run_family(items[k].index, context, batched);
           } else {
-            run_and_observe(items[k].index, &context, nullptr);
+            run_and_observe(items[k].index, context);
           }
         }
       });

@@ -90,7 +90,6 @@ struct SeedFamilyKey {
   const Algorithm* algorithm = nullptr;
   const void* advice = nullptr;  ///< TrialSpec::advice identity (may be null)
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  SchedulerKeying keying = SchedulerKeying::kCounter;
   std::uint32_t max_delay = 0;
   std::uint64_t max_messages = 0;
   bool enforce_wakeup = false;
@@ -129,8 +128,7 @@ struct SeedFamilyKey {
  private:
   auto tie() const {
     return std::tie(graph, source, oracle, algorithm, advice, scheduler,
-                    keying, max_delay, max_messages, enforce_wakeup,
-                    anonymous, trace,
+                    max_delay, max_messages, enforce_wakeup, anonymous, trace,
                     deadline_ns, max_events, trace_sink, fault_drop,
                     fault_duplicate, fault_delay, fault_max_extra_delay,
                     fault_crash, fault_max_crash_key, fault_crash_source,
@@ -190,29 +188,21 @@ struct RetryPolicy {
   bool retry_task_failures = false;
 };
 
-/// Opt-in intra-run sharding (sim/sharded_engine.h) for oversized trials.
-/// Trials whose graph has at least `min_nodes` nodes are taken OFF the
-/// trial-level pool and run one at a time — largest first — on a sharded
-/// engine that dedicates `shards` workers to each such run; everything else
-/// still fans out across trials. Results stay bit-identical either way
-/// (the sharded engine's determinism contract), so the policy is purely a
-/// wall-clock decision: point min_nodes at the size where one trial
-/// dominates the batch. min_nodes = 0 (the default) disables sharding.
-struct ShardPolicy {
-  std::uint32_t shards = 0;   ///< workers per sharded run; 0 = hardware
-  std::size_t min_nodes = 0;  ///< graphs at/above this run sharded; 0 = off
-
-  bool enabled() const noexcept { return min_nodes > 0 && shards != 1; }
-};
+/// The retired fourth constructor argument (an intra-run sharding policy
+/// that is gone). Field-less, and BatchRunner ignores it. It is kept only
+/// because the benchmark's `BatchRunner(workers, true, {}, {}, seed_batch)`
+/// call in perfbench/src/campaign.cpp passes `{}` there; drop it, and the
+/// `{}` every caller that sets `seed_batch` passes, with the next change to
+/// the benchmark.
+struct RetiredPolicy {};
 
 /// Automatic seed-family collapsing (ON by default). Specs identical up to
 /// their seeds (seed_family_key) are grouped and routed through one
 /// seed-batched lockstep context (sim/seed_batch_engine.h) as a single
 /// work unit; per-trial TaskReports are fanned back out bit-identical to
-/// the scalar path, so the policy — like ShardPolicy — is purely a
-/// wall-clock decision. Families only form over resolved shared advice:
-/// with the advice cache off (the measurement baseline) every trial stays
-/// scalar. Trials claimed by ShardPolicy are never batched.
+/// the scalar path, so the policy is purely a wall-clock decision. Families
+/// only form over resolved shared advice: with the advice cache off (the
+/// measurement baseline) every trial stays scalar.
 struct SeedBatchPolicy {
   bool enabled = true;
   /// Smallest family routed through the batched context; families below it
@@ -230,16 +220,15 @@ class BatchRunner {
   /// `jobs` = number of worker threads; 0 picks the hardware concurrency.
   /// `advice_cache` toggles the batch-wide advice memoization pre-pass.
   /// `retry` bounds re-execution of transient trial failures.
-  /// `shard` routes oversized trials through the sharded intra-run engine.
+  /// The fourth argument is ignored (see RetiredPolicy).
   /// `seed_batch` collapses seed families onto the lockstep executor.
   explicit BatchRunner(std::size_t jobs = 0, bool advice_cache = true,
-                       RetryPolicy retry = {}, ShardPolicy shard = {},
+                       RetryPolicy retry = {}, RetiredPolicy = {},
                        SeedBatchPolicy seed_batch = {});
 
   std::size_t jobs() const noexcept { return jobs_; }
   bool advice_cache() const noexcept { return advice_cache_; }
   const RetryPolicy& retry() const noexcept { return retry_; }
-  const ShardPolicy& shard() const noexcept { return shard_; }
   const SeedBatchPolicy& seed_batch() const noexcept { return seed_batch_; }
 
   /// Executes every spec and returns one TaskReport per spec, in spec
@@ -268,7 +257,6 @@ class BatchRunner {
   std::size_t jobs_;
   bool advice_cache_;
   RetryPolicy retry_;
-  ShardPolicy shard_;
   SeedBatchPolicy seed_batch_;
 };
 

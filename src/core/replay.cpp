@@ -68,8 +68,6 @@ TraceDiff diff_traces(const RecordedTrace& a, const RecordedTrace& b) {
   note_if(out, "header.source", a.header.source, b.header.source);
   note_if(out, "header.scheduler", std::string(to_string(a.header.scheduler)),
           std::string(to_string(b.header.scheduler)));
-  note_if(out, "header.keying", std::string(to_string(a.header.keying)),
-          std::string(to_string(b.header.keying)));
   note_if(out, "header.seed", a.header.seed, b.header.seed);
   note_if(out, "header.max_delay", a.header.max_delay, b.header.max_delay);
   note_if(out, "header.max_messages", a.header.max_messages,

@@ -36,12 +36,6 @@ struct TaskReport {
   std::string error;
   /// How many times the trial executed: 1 + retries consumed. Always >= 1.
   std::uint32_t attempts = 1;
-  /// Intra-run sharding (core/batch_runner.h ShardPolicy +
-  /// sim/sharded_engine.h). 1 for single-threaded trials and for sharded
-  /// attempts that fell back; the run itself is bit-identical either way.
-  std::uint32_t shards = 1;
-  std::uint64_t epochs = 0;  ///< epoch barriers crossed (sharded runs only)
-  std::uint64_t cross_shard_messages = 0;  ///< copies routed between shards
   RunResult run;
 
   /// The task was solved: the run completed with every node informed and

@@ -4,7 +4,6 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "graph/validate.h"
 
@@ -145,47 +144,6 @@ PortGraph make_random_connected(std::size_t n, double p, Rng& rng) {
       if (g.port_towards(u, v) != kNoPort) continue;
       if (rng.chance(p)) g.add_edge_auto(u, v);
     }
-  }
-  g.freeze();
-  return g;
-}
-
-PortGraph make_random_connected_sparse(std::size_t n, std::size_t extra,
-                                       Rng& rng) {
-  if (n < 1) {
-    throw std::invalid_argument(
-        "make_random_connected_sparse: n >= 1 required");
-  }
-  const std::size_t tree_edges = n - 1;
-  const std::size_t all_pairs = n * (n - 1) / 2;
-  if (extra > all_pairs - tree_edges) {
-    throw std::invalid_argument(
-        "make_random_connected_sparse: extra exceeds the non-tree pairs");
-  }
-  PortGraph tree = make_random_tree(n, rng);
-  PortGraph g(n);
-  // Membership set over normalized pairs (u < v), seeded with the tree so
-  // rejection sampling never re-adds a spanning edge. Sparse regimes
-  // (extra = O(n)) reject rarely; dense requests degrade gracefully because
-  // `extra` is capped well below the pair count above.
-  std::unordered_set<std::uint64_t> present;
-  present.reserve(tree_edges + extra);
-  auto pair_key = [n](NodeId u, NodeId v) {
-    if (u > v) std::swap(u, v);
-    return static_cast<std::uint64_t>(u) * n + v;
-  };
-  for (const Edge& e : tree.edges()) {
-    present.insert(pair_key(e.u, e.v));
-    g.add_edge_auto(e.u, e.v);
-  }
-  std::size_t added = 0;
-  while (added < extra) {
-    const NodeId u = static_cast<NodeId>(rng.below(n));
-    const NodeId v = static_cast<NodeId>(rng.below(n));
-    if (u == v) continue;
-    if (!present.insert(pair_key(u, v)).second) continue;
-    g.add_edge_auto(u, v);
-    ++added;
   }
   g.freeze();
   return g;

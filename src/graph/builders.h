@@ -36,15 +36,6 @@ PortGraph make_random_tree(std::size_t n, Rng& rng);
 /// remaining pair joined independently with probability p.
 PortGraph make_random_connected(std::size_t n, double p, Rng& rng);
 
-/// Sparse random connected graph for large n: a random spanning tree plus
-/// `extra` distinct non-tree edges drawn by rejection sampling. O(n + extra)
-/// time and memory, unlike make_random_connected's O(n^2) pair scan, so it
-/// reaches n = 10^6..10^7 (the sharded-engine bench families). Requires
-/// n >= 1 and extra small enough to fit outside the tree
-/// (extra <= n*(n-1)/2 - (n-1)).
-PortGraph make_random_connected_sparse(std::size_t n, std::size_t extra,
-                                       Rng& rng);
-
 /// The classic lollipop: a clique on ceil(n/2) nodes with a path of the
 /// remaining nodes attached. A stress case for message-complexity baselines
 /// (flooding pays for the clique, tree-based schemes do not).

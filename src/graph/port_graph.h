@@ -142,14 +142,6 @@ class PortGraph {
     return frozen_ ? endpoints_.data() : nullptr;
   }
 
-  /// Raw CSR offset array (n + 1 entries), or nullptr until frozen. Entry v
-  /// is the first directed-link id of node v — the prefix-summed degrees the
-  /// engine otherwise recomputes per run, and the edge-density curve
-  /// graph/partition.h balances shard boundaries on.
-  const std::uint64_t* csr_offsets() const noexcept {
-    return frozen_ ? offsets_.data() : nullptr;
-  }
-
   /// True iff the port slot exists and is occupied.
   bool has_port(NodeId v, Port p) const noexcept;
 

@@ -140,14 +140,19 @@ void AdviceService::shutdown() {
   }
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
+    shutdown_done_ = true;
   }
   stop_cv_.notify_all();
 }
 
 void AdviceService::wait() {
   {
+    // Wait for shutdown() to FINISH, not merely to start: it may be running
+    // on a connection thread, and joining or clearing conn_fds_ before it
+    // has unblocked the idle connections would leave that thread stuck in
+    // read_frame forever.
     std::unique_lock<std::mutex> lock(stop_mu_);
-    stop_cv_.wait(lock, [&] { return stopping_.load(); });
+    stop_cv_.wait(lock, [&] { return shutdown_done_; });
   }
   std::lock_guard<std::mutex> lock(join_mu_);
   if (joined_) return;
@@ -277,6 +282,12 @@ void AdviceService::connection_loop(int fd) {
     }
     // The drain starts only after the acknowledgment is on the wire.
     if (opcode == kOpShutdown) shutdown();
+  }
+  {
+    // Deregister before closing, so shutdown() never applies SHUT_RD to a
+    // descriptor number the process has already reused.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    std::erase(conn_fds_, fd);
   }
   ::close(fd);
 }

@@ -88,7 +88,7 @@ class AdviceService {
   /// (including a connection thread serving a Shutdown request).
   void shutdown();
 
-  /// Blocks until shutdown() has been initiated (by a signal handler
+  /// Blocks until shutdown() has run to completion (from a signal handler
   /// thread, a Shutdown request, or a direct call) and every service
   /// thread has been joined. Call from the owning thread only.
   void wait();
@@ -187,6 +187,7 @@ class AdviceService {
   bool joined_ = false;
   std::condition_variable stop_cv_;
   std::mutex stop_mu_;
+  bool shutdown_done_ = false;  ///< guarded by stop_mu_; set as shutdown() ends
 };
 
 }  // namespace oraclesize::service

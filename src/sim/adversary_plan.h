@@ -36,9 +36,9 @@
 // (seed, node, logical send group), forged content on (seed, group [, link
 // when equivocating]), advice lies on (seed, link). The replay buffer is
 // filled in delivery order, which is itself deterministic for a fixed run,
-// and Byzantine runs always execute on the scalar engine (the sharded and
-// seed-batched engines route them there), so the same (seed, graph, params)
-// reproduces the same Byzantine execution at any --jobs / --shards.
+// and Byzantine runs always execute on the scalar engine (the seed-batched
+// engine routes them there), so the same (seed, graph, params) reproduces
+// the same Byzantine execution at any --jobs.
 //
 // A disabled plan (`enabled() == false`: no rate, no explicit node count)
 // is never consulted: the run takes the legacy reliable path bit for bit

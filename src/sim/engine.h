@@ -58,10 +58,6 @@ const char* to_string(RunStatus status);
 
 struct RunOptions {
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  /// How the seeded schedulers derive delays. kCounter (the canonical
-  /// schedule) keys each delay on (seed, seq, link); kStream replays the
-  /// legacy draw-order Rng stream for old trace artifacts.
-  SchedulerKeying keying = SchedulerKeying::kCounter;
   std::uint64_t seed = 1;          ///< randomness for kAsyncRandom
   std::uint32_t max_delay = 16;    ///< max per-message delay, kAsyncRandom
   std::uint64_t max_messages = 50'000'000;  ///< runaway-scheme safety valve

@@ -1,8 +1,7 @@
 // The engine's pending-event store: a slot pool plus an index min-heap.
 //
-// Extracted from ExecutionContext so the single-threaded engine and the
-// sharded engine (sim/sharded_engine.h) share one implementation of the
-// ordering that defines delivery semantics: events are consumed in
+// Kept apart from ExecutionContext so the ordering that defines delivery
+// semantics lives in one place: events are consumed in
 // (delivery key, send sequence) order, which makes delivery a total order
 // for any scheduler. Message payloads live in a flat slot pool with a free
 // list; the heap sifts 24-byte index entries, never the Message-carrying
@@ -27,8 +26,7 @@ struct EngineEvent {
   bool sender_informed = false;
 };
 
-/// Pool + binary min-heap over (key, seq). Not thread-safe; the sharded
-/// engine gives each shard its own EventHeap.
+/// Pool + binary min-heap over (key, seq). Not thread-safe.
 class EventHeap {
  public:
   /// Heap entries carry the ordering fields inline so sifting never
@@ -60,15 +58,6 @@ class EventHeap {
 
   /// Smallest pending delivery key. Precondition: !empty().
   std::int64_t top_key() const noexcept { return heap_.front().key; }
-
-  /// Number of pending entries whose key equals `key` (linear scan over the
-  /// raw heap array — used only for the sharded engine's event-budget
-  /// pre-count, never on a per-event path).
-  std::size_t count_key(std::int64_t key) const noexcept {
-    std::size_t count = 0;
-    for (const Entry& e : heap_) count += (e.key == key) ? 1 : 0;
-    return count;
-  }
 
   /// Heap high-water mark since the last clear() (records the heap size
   /// after every push — the queue_depth_peak metric).

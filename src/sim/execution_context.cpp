@@ -190,7 +190,7 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
   }
 
   scheduler_.reset(options.scheduler, options.seed, options.max_delay,
-                   link_offset_[n], options.keying);
+                   link_offset_[n]);
   events_.clear();
   std::uint64_t seq = 0;
 

@@ -67,8 +67,7 @@ class ExecutionContext {
   std::vector<NodeInput> inputs_;
   std::vector<std::unique_ptr<NodeBehavior>> behaviors_;
   std::vector<Send> sends_;  ///< scratch sink, recycled per event
-  /// Pending events: slot pool + (key, seq) index heap (sim/event_heap.h —
-  /// shared with the sharded engine, which runs one EventHeap per shard).
+  /// Pending events: slot pool + (key, seq) index heap (sim/event_heap.h).
   EventHeap events_;
   std::vector<std::uint64_t> link_offset_;  ///< prefix sums of degrees
   /// Behavior-pool identity: behaviors_[v] (v < pool_count_) were produced

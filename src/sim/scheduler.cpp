@@ -24,16 +24,6 @@ const char* to_string(SchedulerKind kind) {
   return "unknown";
 }
 
-const char* to_string(SchedulerKeying keying) {
-  switch (keying) {
-    case SchedulerKeying::kCounter:
-      return "counter";
-    case SchedulerKeying::kStream:
-      return "stream";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Domain-separation tag for delivery prekeys — the scheduler's sibling of
@@ -44,10 +34,8 @@ constexpr std::uint64_t kDelayTag = 0x64656c6179ULL;  // "delay"
 }  // namespace
 
 Scheduler::Scheduler(SchedulerKind kind, std::uint64_t seed,
-                     std::uint32_t max_delay, SchedulerKeying keying)
+                     std::uint32_t max_delay)
     : kind_(kind),
-      keying_(keying),
-      rng_(seed),
       seed_(seed),
       max_delay_(max_delay == 0 ? 1 : max_delay) {}
 
@@ -66,11 +54,8 @@ std::uint32_t Scheduler::counter_delay(std::uint64_t seed,
 }
 
 void Scheduler::reset(SchedulerKind kind, std::uint64_t seed,
-                      std::uint32_t max_delay, std::size_t num_links,
-                      SchedulerKeying keying) {
+                      std::uint32_t max_delay, std::size_t num_links) {
   kind_ = kind;
-  keying_ = keying;
-  rng_ = Rng(seed);
   seed_ = seed;
   max_delay_ = max_delay == 0 ? 1 : max_delay;
   link_clock_.assign(kind == SchedulerKind::kAsyncLinkFifo ? num_links : 0,
@@ -101,12 +86,8 @@ std::int64_t Scheduler::delivery_key(std::int64_t now, std::uint64_t seq,
     case SchedulerKind::kSynchronous:
       return now + 1;
     case SchedulerKind::kAsyncRandom: {
-      const std::int64_t delay =
-          keying_ == SchedulerKeying::kCounter
-              ? static_cast<std::int64_t>(
-                    counter_delay(seed_, delivery_prekey(seq, link),
-                                  max_delay_))
-              : static_cast<std::int64_t>(rng_.below(max_delay_));
+      const std::int64_t delay = static_cast<std::int64_t>(
+          counter_delay(seed_, delivery_prekey(seq, link), max_delay_));
       return now + 1 + delay;
     }
     case SchedulerKind::kAsyncFifo:
@@ -116,12 +97,8 @@ std::int64_t Scheduler::delivery_key(std::int64_t now, std::uint64_t seq,
     case SchedulerKind::kAsyncLinkFifo: {
       // Random per-message delay, clamped so this link's deliveries stay in
       // send order (FIFO channel), while distinct links race freely.
-      const std::int64_t delay =
-          keying_ == SchedulerKeying::kCounter
-              ? static_cast<std::int64_t>(
-                    counter_delay(seed_, delivery_prekey(seq, link),
-                                  max_delay_))
-              : static_cast<std::int64_t>(rng_.below(max_delay_));
+      const std::int64_t delay = static_cast<std::int64_t>(
+          counter_delay(seed_, delivery_prekey(seq, link), max_delay_));
       const std::int64_t candidate = now + 1 + delay;
       assert(link < link_clock_.size() &&
              "reset() must size the link-clock table to cover every link");

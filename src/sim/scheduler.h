@@ -7,7 +7,12 @@
 //  * kSynchronous — classic rounds: everything sent in round t arrives in
 //    round t+1, deliveries within a round in send order.
 //  * kAsyncRandom — each message independently delayed by 1..max_delay
-//    (seeded), modelling a benign asynchronous network.
+//    (seeded), modelling a benign asynchronous network. The delay is a pure
+//    function of (seed, seq, link) via the same SplitMix64 counter keying
+//    FaultPlan uses for fault decisions: no draw-order stream is consumed,
+//    so a message's delivery key depends only on shared per-message state
+//    plus the seed — which is what lets the seed-batch executor serve many
+//    scheduler seeds from one lockstep pass.
 //  * kAsyncFifo — one global FIFO: strictly ordered, single delivery at a
 //    time (a degenerate but legal asynchronous executive).
 //  * kAsyncLifo — adversarial: always delivers the *most recently sent*
@@ -48,32 +53,11 @@ enum class SchedulerKind {
 
 const char* to_string(SchedulerKind kind);
 
-/// How the seeded schedulers (kAsyncRandom, kAsyncLinkFifo) derive their
-/// per-message delays.
-///
-///  * kCounter — the canonical mode: delay is a pure function of
-///    (seed, seq, link) via the same SplitMix64 counter keying FaultPlan
-///    uses for fault decisions. Because no draw-order stream is consumed,
-///    the delivery key of a message depends only on shared per-message
-///    state plus the lane's seed — which is what lets the seed-batch
-///    executor serve many scheduler seeds from one lockstep pass.
-///  * kStream — the legacy mode: delays are drawn from a seeded Rng stream
-///    in draw order. Kept bit-exact so trace artifacts recorded before the
-///    counter-keyed schedule became canonical still replay; selectable via
-///    RunOptions::keying and recorded in the oracletrace header.
-enum class SchedulerKeying : std::uint8_t {
-  kCounter,
-  kStream,
-};
-
-const char* to_string(SchedulerKeying keying);
-
 /// Computes the priority key under which a message becomes deliverable.
 /// Lower keys deliver first; ties broken by sequence number (FIFO).
 class Scheduler {
  public:
-  Scheduler(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay,
-            SchedulerKeying keying = SchedulerKeying::kCounter);
+  Scheduler(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay);
   ~Scheduler();  // out-of-line: unique_ptr of a forward-declared type
 
   /// Re-arms the scheduler for a fresh run without releasing the link-clock
@@ -82,8 +66,7 @@ class Scheduler {
   /// cover every link id delivery_key will see — the hot path asserts
   /// instead of growing the table on demand.
   void reset(SchedulerKind kind, std::uint64_t seed, std::uint32_t max_delay,
-             std::size_t num_links = 0,
-             SchedulerKeying keying = SchedulerKeying::kCounter);
+             std::size_t num_links = 0);
 
   /// Key for a message sent with sequence number `seq` while the engine was
   /// processing an event with key `now` (0 for on_start sends). `link`
@@ -108,12 +91,9 @@ class Scheduler {
                                      std::uint32_t max_delay) noexcept;
 
   SchedulerKind kind() const noexcept { return kind_; }
-  SchedulerKeying keying() const noexcept { return keying_; }
 
  private:
   SchedulerKind kind_;
-  SchedulerKeying keying_;
-  Rng rng_;
   std::uint64_t seed_;
   std::uint32_t max_delay_;
   /// Flat per-link FIFO clock, indexed by the dense link id. Zero means

@@ -83,9 +83,7 @@ bool SeedBatchExecutionContext::lockstep_eligible(
     case SchedulerKind::kAsyncRandom:
     case SchedulerKind::kAsyncLinkFifo:
       // Counter-keyed delays are pure in (options.seed, seq, link), so
-      // lanes batch as key classes; the legacy stream mode consumes a
-      // seeded stream in draw order, which differs per lane.
-      if (base.keying != SchedulerKeying::kCounter) return false;
+      // lanes batch as key classes.
       break;
     default:
       // kAsyncAdversarial's probe history is execution-dependent.

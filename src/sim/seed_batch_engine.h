@@ -15,8 +15,8 @@
 //    delivery keys from (now, seq) alone, so two lanes whose fault
 //    decisions all come up benign produce byte-for-byte the same event
 //    stream — the CLEAN stream, the one a disabled plan follows;
-//  * the counter-keyed seeded schedulers (kAsyncRandom, kAsyncLinkFifo
-//    under SchedulerKeying::kCounter) assign keys that are pure in
+//  * the counter-keyed seeded schedulers (kAsyncRandom, kAsyncLinkFifo)
+//    assign keys that are pure in
 //    (options.seed, seq, link), so `options.seed` becomes a lane axis too:
 //    lanes are grouped into KEY CLASSES by scheduler seed, each class
 //    carries its own tiny index heap (plus link clocks and key-valued
@@ -45,12 +45,12 @@
 // which decorrelates every later (seq, link)-keyed decision — after the
 // first divergence the lane shares nothing bit-exact with the clean run,
 // and behaviors are opaque (not clonable), so there is no cheaper resume
-// point than the start. Hence the same fallback-not-divergence policy as
-// sim/sharded_engine.h: lanes the lockstep pass cannot serve — diverged
+// point than the start. Hence a fallback-not-divergence policy: lanes the
+// lockstep pass cannot serve — diverged
 // lanes, key classes whose delivery order split from the driver's, lanes
 // with a non-empty crash schedule or a materialized advice flip, or whole
-// families using features the pass doesn't honor (stream-keyed seeded
-// schedulers, trace sinks, legacy tracing, wall-clock deadlines) — are
+// families using features the pass doesn't honor (the adversarial
+// scheduler, trace sinks, legacy tracing, wall-clock deadlines) — are
 // REPLAYED on the scalar ExecutionContext, which is the definition of
 // correct.
 //
@@ -120,12 +120,10 @@ class SeedBatchExecutionContext {
 
   /// True when a family under `base` can take the lockstep pass at all:
   /// the scheduler must assign delivery keys as a pure per-message function
-  /// — kSynchronous / kAsyncFifo / kAsyncLifo always qualify, and
-  /// kAsyncRandom / kAsyncLinkFifo qualify under SchedulerKeying::kCounter
-  /// (under kStream they consume a seeded stream in draw order, which
-  /// differs per lane). The run must not be observed (trace sinks, legacy
-  /// tracing) or race a wall clock (deadline_ns). Ineligible families
-  /// replay every lane.
+  /// — every scheduler but kAsyncAdversarial qualifies (the seeded ones
+  /// through counter-keyed delays). The run must not be observed (trace
+  /// sinks, legacy tracing) or race a wall clock (deadline_ns). Ineligible
+  /// families replay every lane.
   static bool lockstep_eligible(const RunOptions& base) noexcept;
 
   /// One lockstep pass over the clean stream. `base` carries the family's

@@ -91,10 +91,6 @@ struct TraceHeader {
   std::string oracle;     ///< informational; empty when unknown
   NodeId source = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  /// Delay-keying mode the run was recorded under. Defaults to kStream so
-  /// artifacts written before counter keying became canonical (no `keying`
-  /// header line) replay bit-exactly on the legacy draw-order path.
-  SchedulerKeying keying = SchedulerKeying::kStream;
   std::uint64_t seed = 1;
   std::uint32_t max_delay = 16;
   std::uint64_t max_messages = 50'000'000;

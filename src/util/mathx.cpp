@@ -28,7 +28,10 @@ int num_bits(std::uint64_t w) noexcept {
 }
 
 double log2_factorial(std::uint64_t x) noexcept {
-  return std::lgamma(static_cast<double>(x) + 1.0) / kLn2;
+  // lgamma_r, not std::lgamma: lgamma writes the global `signgam`, a data
+  // race when batch workers run the adversarial scheduler concurrently.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(x) + 1.0, &sign) / kLn2;
 }
 
 double log2_choose(std::uint64_t a, std::uint64_t b) noexcept {

@@ -7,9 +7,9 @@
 //    of inconsistent-advice lies.
 //  * ByzantineEngine.*  — the plan threaded through ExecutionContext:
 //    detected-vs-silent status split, zero-plan invisibility, advice-
-//    certified immunity of the tree-cast, determinism at any --jobs /
-//    --shards (Byzantine families route to the scalar engine), and the
-//    online adversarial scheduler.
+//    certified immunity of the tree-cast, determinism at any --jobs
+//    (Byzantine families route to the scalar engine), and the online
+//    adversarial scheduler.
 //  * ByzantineTrace.*   — record -> save -> load -> replay -> diff round
 //    trip of a Byzantine run, forge events and counters included.
 #include <gtest/gtest.h>
@@ -245,7 +245,7 @@ TEST(ByzantineEngine, AdviceCertifiedTreeCastIsImmuneToContentForging) {
   EXPECT_GT(w.run.adversary.forged, 0u);  // lies happened; they were inert
 }
 
-TEST(ByzantineEngine, DeterministicAcrossJobsAndShards) {
+TEST(ByzantineEngine, DeterministicAcrossJobs) {
   const PortGraph g = byz_graph();
   const LightBroadcastOracle broadcast_oracle;
   const BroadcastBAlgorithm broadcast_algorithm;
@@ -262,16 +262,11 @@ TEST(ByzantineEngine, DeterministicAcrossJobsAndShards) {
   }
   const BatchRunner serial(1);
   const BatchRunner parallel(4);
-  const BatchRunner sharded(4, true, RetryPolicy{0}, ShardPolicy{4, 2});
   const std::vector<TaskReport> a = serial.run(specs);
   const std::vector<TaskReport> b = parallel.run(specs);
-  const std::vector<TaskReport> c = sharded.run(specs);
   ASSERT_EQ(a.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(a[i].run, b[i].run) << i;
-    EXPECT_EQ(a[i].run, c[i].run) << i;
-    // Byzantine runs fall back to the scalar engine rather than diverge.
-    EXPECT_EQ(c[i].shards, 1u) << i;
   }
 }
 

@@ -33,7 +33,6 @@
 #include "oracle/partial_tree_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "sim/execution_context.h"
-#include "sim/sharded_engine.h"
 #include "sim/trace_recorder.h"
 
 namespace oraclesize {
@@ -120,79 +119,6 @@ TEST_P(FuzzSweep, AllPaperInvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
-                         ::testing::Range<std::uint64_t>(0, 40));
-
-// Sharded-engine property sweep: for a grid of seeds, draw a random
-// network, scheduler, fault plan, and shard count, and demand the sharded
-// engine reproduce the single-threaded run bit for bit — RunResult AND
-// recorded event stream. This is the randomized counterpart of the pinned
-// matrix in tests/test_sharded_goldens.cpp; between them the determinism
-// contract is checked on both chosen and adversarially-random inputs.
-class ShardedFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ShardedFuzz, ShardedMatchesSingleThreaded) {
-  const std::uint64_t seed = GetParam();
-  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 20260808);
-
-  const std::size_t n = 4 + static_cast<std::size_t>(rng.below(110));
-  PortGraph g = rng.chance(0.3)
-                    ? make_random_connected_sparse(
-                          n, static_cast<std::size_t>(rng.below(n)), rng)
-                    : make_random_connected(n, rng.unit() * 0.3, rng);
-  if (rng.chance(0.5)) g = shuffle_ports(g, rng);
-  const NodeId source = static_cast<NodeId>(rng.below(n));
-
-  const SchedulerKind kinds[] = {
-      SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
-      SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo,
-      SchedulerKind::kAsyncLinkFifo};
-  RunOptions opts;
-  opts.scheduler = kinds[rng.below(5)];
-  opts.seed = rng.below(1 << 20) + 1;
-  if (rng.chance(0.5)) {
-    opts.fault.seed = rng.below(1 << 20) + 1;
-    opts.fault.drop = rng.unit() * 0.1;
-    opts.fault.duplicate = rng.chance(0.5) ? rng.unit() * 0.1 : 0.0;
-    opts.fault.delay = rng.unit() * 0.1;
-    opts.fault.crash = rng.unit() * 0.05;
-    opts.fault.advice_flip = rng.unit() * 0.05;
-  }
-  const std::uint32_t shard_counts[] = {2, 3, 5, 8};
-  const std::uint32_t shards = shard_counts[rng.below(4)];
-
-  // Alternate between the wakeup scheme (advice-driven, enforced
-  // constraint) and flooding (message-heavy, advice-free).
-  const bool use_wakeup = rng.chance(0.5);
-  const TreeWakeupOracle wakeup_oracle;
-  const WakeupTreeAlgorithm wakeup;
-  const FloodingAlgorithm flooding;
-  const Algorithm& algorithm =
-      use_wakeup ? static_cast<const Algorithm&>(wakeup)
-                 : static_cast<const Algorithm&>(flooding);
-  const std::vector<BitString> advice =
-      use_wakeup ? wakeup_oracle.advise(g, source)
-                 : std::vector<BitString>(n);
-  opts.enforce_wakeup = algorithm.is_wakeup();
-
-  auto both = [&](auto& engine) {
-    TraceRecorder recorder;
-    RunOptions with_sink = opts;
-    with_sink.trace_sink = &recorder;
-    const RunResult result =
-        engine.run(g, source, advice, algorithm, with_sink);
-    return std::make_pair(result, recorder.take().digest());
-  };
-  ExecutionContext single;
-  ShardedExecutionContext sharded(shards);
-  const auto want = both(single);
-  const auto got = both(sharded);
-  EXPECT_EQ(got.first, want.first)
-      << "seed " << seed << " shards " << shards << " sched "
-      << to_string(opts.scheduler);
-  EXPECT_EQ(got.second, want.second) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedFuzz,
                          ::testing::Range<std::uint64_t>(0, 40));
 
 // Storage-state property sweep: a frozen CSR graph and a never-frozen

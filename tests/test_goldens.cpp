@@ -146,28 +146,12 @@ TEST(Goldens, FaultyBroadcastRun) {
 }
 
 TEST(Goldens, AsyncCensusBits) {
-  // Counter-keyed async delivery (the canonical mode since the keying
-  // split): delays are a pure function of (seed, seq, link), so this pin
-  // moves only if the keying mix or the engine's ordering changes.
+  // Counter-keyed async delivery: delays are a pure function of
+  // (seed, seq, link), so this pin moves only if the keying mix or the
+  // engine's ordering changes.
   const PortGraph g = golden_graph();
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
-  opts.seed = 777;
-  const TaskReport c =
-      run_task(g, 13, TreeWakeupOracle(), CensusAlgorithm(), opts);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.run.outputs[13], 100u);
-  EXPECT_EQ(c.run.metrics.bits_sent, 548u);
-}
-
-TEST(Goldens, LegacyStreamCensusBitsUnchanged) {
-  // The legacy stream keying must keep producing the numbers it produced
-  // before the counter mode existed — these are the values AsyncCensusBits
-  // pinned historically, frozen here so old artifacts keep replaying.
-  const PortGraph g = golden_graph();
-  RunOptions opts;
-  opts.scheduler = SchedulerKind::kAsyncRandom;
-  opts.keying = SchedulerKeying::kStream;
   opts.seed = 777;
   const TaskReport c =
       run_task(g, 13, TreeWakeupOracle(), CensusAlgorithm(), opts);
@@ -236,12 +220,6 @@ TEST(GoldenTraces, EveryGoldenTraceReplaysBitIdentically) {
   faulty.fault.delay = 0.1;
   traces.push_back(record_golden_trace(LightBroadcastOracle(),
                                        BroadcastBAlgorithm(), faulty));
-  // Legacy stream keying: the header carries the mode, so an old-style
-  // artifact replays on the kept draw-order RNG path bit-exactly.
-  RunOptions stream = async;
-  stream.keying = SchedulerKeying::kStream;
-  traces.push_back(
-      record_golden_trace(TreeWakeupOracle(), CensusAlgorithm(), stream));
   for (const RecordedTrace& t : traces) {
     std::stringstream ss;
     save_trace(ss, t);

@@ -198,11 +198,6 @@ TEST(Scheduler, Names) {
   EXPECT_STREQ(to_string(SchedulerKind::kAsyncLinkFifo), "async-link-fifo");
 }
 
-TEST(SchedulerKeyingTest, Names) {
-  EXPECT_STREQ(to_string(SchedulerKeying::kCounter), "counter");
-  EXPECT_STREQ(to_string(SchedulerKeying::kStream), "stream");
-}
-
 // The counter-keyed contract: a message's key is a pure function of
 // (seed, seq, link) — draw ORDER must not matter. Interrogate the same
 // (seq, link) pairs in two different orders and expect identical keys.
@@ -218,19 +213,7 @@ TEST(SchedulerKeyingTest, CounterKeysAreDrawOrderInvariant) {
   }
 }
 
-// The legacy stream mode must keep consuming the seeded Rng in draw order,
-// bit-exactly: old trace artifacts replay through this path.
-TEST(SchedulerKeyingTest, StreamModeMatchesLegacyRngStream) {
-  Scheduler s(SchedulerKind::kAsyncRandom, 99, 16, SchedulerKeying::kStream);
-  Rng reference(99);
-  for (std::uint64_t seq = 0; seq < 64; ++seq) {
-    const std::int64_t expected =
-        7 + 1 + static_cast<std::int64_t>(reference.below(16));
-    EXPECT_EQ(s.delivery_key(7, seq, 0), expected) << "seq " << seq;
-  }
-}
-
-// delivery_key under kCounter must agree with the prekey/decide split the
+// delivery_key must agree with the prekey/decide split the
 // seed-batch executor uses (one hash per message, one mix per lane).
 TEST(SchedulerKeyingTest, PrekeySplitMatchesDeliveryKey) {
   const std::uint64_t seed = 1234567;
@@ -246,7 +229,7 @@ TEST(SchedulerKeyingTest, PrekeySplitMatchesDeliveryKey) {
   }
 }
 
-// Counter keys honor the delay bound and change with seed and keying mode.
+// Counter keys honor the delay bound and change with the seed.
 TEST(SchedulerKeyingTest, CounterKeysBoundedAndSeedSensitive) {
   Scheduler a(SchedulerKind::kAsyncRandom, 3, 8);
   Scheduler b(SchedulerKind::kAsyncRandom, 4, 8);

@@ -16,7 +16,7 @@
 //  * SeedBatchRunner.*      — BatchRunner's family collapsing: batched
 //    batches reproduce scalar batches report for report (including retried
 //    attempts — the RetryPolicy re-seeding fix), stats account for lanes,
-//    and the cache-off/sharded paths stay scalar.
+//    and the cache-off path stays scalar.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -308,16 +308,13 @@ TEST(SeedBatchEngine, EligibilityGates) {
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
   base.scheduler = SchedulerKind::kAsyncLifo;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  // Counter-keyed seeded schedulers batch; the legacy stream keying keeps
-  // its draw-order RNG state and must stay scalar.
+  // Counter-keyed seeded schedulers batch.
   base.scheduler = SchedulerKind::kAsyncRandom;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kStream;
-  EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kCounter;
   base.scheduler = SchedulerKind::kAsyncLinkFifo;
   EXPECT_TRUE(SeedBatchExecutionContext::lockstep_eligible(base));
-  base.keying = SchedulerKeying::kStream;
+  // The online Lemma 2.1 scheduler's probe history is execution-dependent.
+  base.scheduler = SchedulerKind::kAsyncAdversarial;
   EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
   base = RunOptions{};
   base.trace = true;
@@ -595,9 +592,6 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   TrialSpec d = a;
   d.options.scheduler = SchedulerKind::kAsyncLifo;
   EXPECT_NE(seed_family_key(a), seed_family_key(d));
-  TrialSpec q = a;
-  q.options.keying = SchedulerKeying::kStream;
-  EXPECT_NE(seed_family_key(a), seed_family_key(q));
   TrialSpec e = a;
   e.graph = &h;
   EXPECT_NE(seed_family_key(a), seed_family_key(e));
@@ -647,7 +641,6 @@ void expect_reports_equal(const TaskReport& a, const TaskReport& b,
   EXPECT_EQ(a.advice_cached, b.advice_cached) << label;
   EXPECT_EQ(a.attempts, b.attempts) << label;
   EXPECT_EQ(a.error, b.error) << label;
-  EXPECT_EQ(a.shards, b.shards) << label;
 }
 
 std::vector<TrialSpec> family_specs(const PortGraph& g, const Oracle& oracle,
@@ -735,13 +728,12 @@ TEST(SeedBatchRunner, MixedBatchIsJobsInvariant) {
   const Algorithm* flooding = algorithm_by_name("flooding");
   std::vector<TrialSpec> specs = family_specs(g, oracle, *wakeup, 8, 0.02);
   // Singles that must stay scalar: a different algorithm, a different
-  // source, and a stream-keyed async-random pair (ineligible keying).
+  // source, and an adversarial-scheduler pair (ineligible scheduler).
   specs.emplace_back(&g, 3, &null_oracle, flooding);
   specs.emplace_back(&g, 5, &oracle, wakeup);
   for (int k = 0; k < 2; ++k) {
     RunOptions options;
-    options.scheduler = SchedulerKind::kAsyncRandom;
-    options.keying = SchedulerKeying::kStream;
+    options.scheduler = SchedulerKind::kAsyncAdversarial;
     options.seed = 40 + k;
     specs.emplace_back(&g, 3, &oracle, wakeup, options);
   }
@@ -765,7 +757,7 @@ TEST(SeedBatchRunner, MixedBatchIsJobsInvariant) {
   EXPECT_EQ(stats1.batched_lanes, 10u);
 }
 
-TEST(SeedBatchRunner, CacheOffAndShardedTrialsStayScalar) {
+TEST(SeedBatchRunner, CacheOffTrialsStayScalar) {
   const PortGraph g = fuzz_graph();
   const TreeWakeupOracle oracle;
   const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
@@ -775,13 +767,6 @@ TEST(SeedBatchRunner, CacheOffAndShardedTrialsStayScalar) {
   BatchStats no_cache_stats;
   BatchRunner(1, false).run(specs, &no_cache_stats);
   EXPECT_EQ(no_cache_stats.seed_families, 0u);
-
-  ShardPolicy shard;
-  shard.shards = 2;
-  shard.min_nodes = 1;  // everything big enough: ShardPolicy wins
-  BatchStats sharded_stats;
-  BatchRunner(1, true, {}, shard).run(specs, &sharded_stats);
-  EXPECT_EQ(sharded_stats.seed_families, 0u);
 
   SeedBatchPolicy min_lanes;
   min_lanes.min_lanes = 7;  // family of 6 stays below the routing floor

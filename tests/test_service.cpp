@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -389,6 +391,32 @@ TEST(ServiceFlow, ShutdownRequestAnswersThenDrains) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.field_u64("draining"), 1u);
   fx.service().wait();  // returns: the request really did stop the service
+}
+
+TEST(ServiceFlow, ShutdownRequestThenWaitNeverHangs) {
+  // The connection thread that serves a Shutdown request runs shutdown()
+  // itself. wait() must not go on until that call has FINISHED: clearing
+  // conn_fds_ before shutdown() has applied SHUT_RD to them leaves the
+  // thread blocked in read_frame on the still-open client, and wait()
+  // joining it forever. The window is narrow, so repeat the flow many
+  // times; a hang fails the test (and the process) at the deadline
+  // instead of stalling ctest.
+  constexpr int kRounds = 1000;
+  auto rounds = std::async(std::launch::async, [] {
+    for (int i = 0; i < kRounds; ++i) {
+      ServiceFixture fx;
+      ServiceClient client(fx.socket_path());
+      const auto reply = client.shutdown_server();
+      EXPECT_TRUE(reply.ok()) << "round " << i;
+      fx.service().wait();  // client still connected while the drain runs
+    }
+  });
+  if (rounds.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::cerr << "ShutdownRequestThenWaitNeverHangs: wait() hung\n";
+    std::_Exit(1);
+  }
+  rounds.get();
 }
 
 TEST(ServiceMetrics, PrometheusTextFormat) {

@@ -82,35 +82,45 @@ TEST(TraceRecorder, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.digest(), t.digest());
 }
 
-TEST(TraceRecorder, HeaderRecordsKeyingAndDefaultsLegacyStream) {
-  // The header pins the delivery-key mode so old artifacts stay
-  // replayable: a counter-keyed recording round-trips its mode, and an
-  // artifact WITHOUT a keying line (anything recorded before the mode
-  // existed) must load as the legacy stream keying it was recorded under.
+TEST(TraceRecorder, StreamOrMissingKeyingHeaderIsRejected) {
+  // Seeded delays are counter-keyed, and the header says so with a
+  // `keying counter` line. A trace recorded under the retired draw-order
+  // stream keying — a `keying stream` line, or no keying line at all —
+  // fails to load with the structured parse error instead of replaying
+  // under the wrong schedule.
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 90210;
-  const RecordedTrace counter = record_broadcast(opts);
-  EXPECT_EQ(counter.header.keying, SchedulerKeying::kCounter);
-
-  opts.keying = SchedulerKeying::kStream;
-  const RecordedTrace stream = record_broadcast(opts);
-  EXPECT_EQ(stream.header.keying, SchedulerKeying::kStream);
-  // The two modes genuinely diverge on this seeded scheduler.
-  EXPECT_NE(counter.digest(), stream.digest());
-
+  const RecordedTrace t = record_broadcast(opts);
   std::stringstream ss;
-  save_trace(ss, counter);
-  std::string text = ss.str();
-  const std::size_t at = text.find("keying counter\n");
+  save_trace(ss, t);
+  const std::string text = ss.str();
+  const std::string line = "keying counter\n";
+  const std::size_t at = text.find(line);
   ASSERT_NE(at, std::string::npos);
-  text.erase(at, std::string("keying counter\n").size());
-  std::istringstream in(text);
-  const RecordedTrace legacy = load_trace(in);
-  EXPECT_EQ(legacy.header.keying, SchedulerKeying::kStream);
-  // The digest hashes events + outcome, not the header, so stripping the
-  // line changes only the replay interpretation.
-  EXPECT_EQ(legacy.digest(), counter.digest());
+  {
+    std::istringstream in(text);
+    EXPECT_EQ(load_trace(in).digest(), t.digest());
+  }
+
+  const auto expect_rejected = [](const std::string& artifact,
+                                  const std::string& why) {
+    std::istringstream in(artifact);
+    try {
+      load_trace(in);
+      ADD_FAILURE() << "loaded a trace with " << why;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace parse error"), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  };
+  std::string stream = text;
+  stream.replace(at, line.size(), "keying stream\n");
+  expect_rejected(stream, "unsupported keying 'stream'");
+  std::string missing = text;
+  missing.erase(at, line.size());
+  expect_rejected(missing, "missing keying header line");
 }
 
 TEST(TraceRecorder, LoadRejectsTamperedAndTruncatedArtifacts) {

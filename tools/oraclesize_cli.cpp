@@ -8,9 +8,8 @@
 //         wheel N | caterpillar S L | regular N D | gns N T | gnsc N K
 //   run <task> [--source S]
 //       [--scheduler sync|random|fifo|lifo|linkfifo|adversarial]
-//       [--keying counter|stream]
 //       [--tree bfs|dfs|kruskal|light] [--seed S] [--anonymous]
-//       [--advice-file F] [--all-sources] [--jobs N] [--shards N] [--json]
+//       [--advice-file F] [--all-sources] [--jobs N] [--json]
 //       [--fault-rate P] [--fault-seed S] [--deadline-ms T] [--retries K]
 //       [--seed-sweep K] [--no-seed-batch]
 //       [--byz-rate P] [--byz-nodes K] [--byz-seed S] [--byz-strategy X]
@@ -21,10 +20,7 @@
 //       are loaded from F (see `advise`).
 //       --all-sources runs the task once per source node through the batch
 //       runner; --jobs N sets its worker-thread count (0 = hardware);
-//       --shards N partitions each run itself across N workers (0 =
-//       hardware) via the sharded engine — results are bit-identical to
-//       the single-threaded path; --json prints per-trial records as JSON
-//       instead of text.
+//       --json prints per-trial records as JSON instead of text.
 //       --fault-rate P drops each message with probability P (seeded by
 //       --fault-seed); --deadline-ms caps each trial's wall clock;
 //       --retries K re-runs transient failures up to K times with
@@ -114,10 +110,8 @@ using namespace oraclesize;
       "  oraclesize_cli run <wakeup|broadcast|flooding|census|gossip|hybrid>\n"
       "      [--source S] [--scheduler "
       "sync|random|fifo|lifo|linkfifo|adversarial]\n"
-      "      [--keying counter|stream]\n"
       "      [--tree bfs|dfs|kruskal|light] [--seed S] [--anonymous]\n"
-      "      [--advice-file F] [--all-sources] [--jobs N] [--shards N] "
-      "[--json]\n"
+      "      [--advice-file F] [--all-sources] [--jobs N] [--json]\n"
       "      [--fault-rate P] [--fault-seed S] [--deadline-ms T] "
       "[--retries K]\n"
       "      [--seed-sweep K] [--no-seed-batch]\n"
@@ -167,14 +161,12 @@ struct Options {
   NodeId source = 0;
   NodeId root = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  SchedulerKeying keying = SchedulerKeying::kCounter;
   TreeKind tree = TreeKind::kBfs;
   bool tree_set = false;
   bool anonymous = false;
   double fraction = 0.5;
   std::string advice_file;
   std::size_t jobs = 1;
-  std::uint32_t shards = 0;  ///< 0 = single-threaded runs (no sharding)
   bool json = false;
   bool all_sources = false;
   double fault_rate = 0.0;
@@ -214,8 +206,6 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
       opts.advice_file = next();
     } else if (a == "--jobs") {
       opts.jobs = static_cast<std::size_t>(parse_u64(next(), "--jobs"));
-    } else if (a == "--shards") {
-      opts.shards = static_cast<std::uint32_t>(parse_u64(next(), "--shards"));
     } else if (a == "--json") {
       opts.json = true;
     } else if (a == "--all-sources") {
@@ -283,15 +273,6 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
         opts.scheduler = SchedulerKind::kAsyncAdversarial;
       } else {
         usage("unknown scheduler '" + v + "'");
-      }
-    } else if (a == "--keying") {
-      const std::string v = next();
-      if (v == "counter") {
-        opts.keying = SchedulerKeying::kCounter;
-      } else if (v == "stream") {
-        opts.keying = SchedulerKeying::kStream;
-      } else {
-        usage("unknown keying '" + v + "'");
       }
     } else if (a == "--tree") {
       const std::string v = next();
@@ -436,7 +417,6 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
 
   RunOptions run_opts;
   run_opts.scheduler = opts.scheduler;
-  run_opts.keying = opts.keying;
   run_opts.seed = opts.seed;
   run_opts.anonymous = opts.anonymous;
   run_opts.fault.drop = opts.fault_rate;
@@ -491,16 +471,9 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   // run is deterministic, so only infrastructure outcomes are retried.
   const RetryPolicy retry{opts.retries, 0x9e3779b97f4a7c15ULL,
                           /*retry_task_failures=*/opts.fault_rate > 0};
-  // --shards N runs every trial's execution through the sharded intra-run
-  // engine (bit-identical results; sim/sharded_engine.h).
-  ShardPolicy shard;
-  if (opts.shards != 0) {
-    shard.shards = opts.shards;
-    shard.min_nodes = 2;
-  }
   SeedBatchPolicy seed_batch;
   seed_batch.enabled = !opts.no_seed_batch;
-  const BatchRunner runner(opts.jobs, /*advice_cache=*/true, retry, shard,
+  const BatchRunner runner(opts.jobs, /*advice_cache=*/true, retry, {},
                            seed_batch);
 
   // One spec per (source, sweep seed); without --seed-sweep this is the

@@ -16,18 +16,6 @@ perf_csr  (bench_perf --csr-compare)
     --min-speedup on both advise tasks, and every row must keep a
     bytes-per-edge reduction of at least --min-mem-saved.
 
-perf_shard  (bench_perf --shard-scale)
-    Two checks, with very different portability:
-     * "identical" — the sharded engine reproduced the single-threaded
-       RunResult bit for bit. Machine-independent; a false on ANY host is
-       a correctness failure and always gates.
-     * speedup_vs_1 — only meaningful when the host has at least as many
-       cores as the row's shard count (the committed baseline may come
-       from a small CI box; a 1-core host runs 8 shards at a slowdown,
-       honestly). Rows where either side's recorded hardware_concurrency
-       is below the shard count are printed and SKIPPED, not gated; the
-       rest fail on a >--max-regression drop vs baseline.
-
 perf_service  (bench_perf --service)
     Gates the advice-service load generator on its machine-independent
     facts only:
@@ -73,7 +61,7 @@ SPEEDUP_KEYS = ("advise_wakeup_speedup", "advise_broadcast_speedup")
 def load(path):
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("bench") not in ("perf_csr", "perf_shard", "perf_seedbatch",
+    if data.get("bench") not in ("perf_csr", "perf_seedbatch",
                                  "perf_schedbatch", "perf_service",
                                  "e16_byzantine"):
         sys.exit(f"{path}: not a perf_gate-gated bench record "
@@ -121,68 +109,6 @@ def gate_csr(fresh_data, base_data, args):
           f"(max regression {args.max_regression:.0%}, "
           f"floor {args.min_speedup}x on complete n>={args.floor_n})")
     return []
-
-
-def gate_shard(fresh_data, base_data, args):
-    fresh = {(r["family"], r["n"], r["shards"]): r
-             for r in fresh_data["rows"]}
-    base = {(r["family"], r["n"], r["shards"]): r
-            for r in base_data["rows"]}
-    fresh_cores = int(fresh_data.get("hardware_concurrency", 0))
-    base_cores = int(base_data.get("hardware_concurrency", 0))
-
-    failures = []
-    # Bit-identity is machine-independent: gate every fresh row, shared or
-    # not — a new row that fails identity must not slip in ungated.
-    for key, row in sorted(fresh.items()):
-        family, n, shards = key
-        if shards > 1 and not row.get("identical", False):
-            failures.append(
-                f"{family} n={n} shards={shards}: sharded run NOT "
-                f"bit-identical to the single-threaded engine")
-
-    # Unlike perf_csr, an empty intersection is not an error: CI measures
-    # at a reduced --scale-n, so fresh rows may share no (family, n) with
-    # the committed million-node baseline. The identity check above already
-    # covered every fresh row; only the scaling comparison needs a match.
-    shared = sorted(set(fresh) & set(base))
-    if not shared:
-        print("no (family, n, shards) rows shared with the baseline — "
-              "scaling comparison skipped (identity still gated on "
-              f"{len(fresh)} fresh rows)")
-        if not failures:
-            print("\nshard gate passed: identity-only")
-        return failures
-    print(f"cores: baseline={base_cores} fresh={fresh_cores}")
-    print(f"{'row':>34} | {'base x':>8} | {'fresh x':>8} | gate")
-    skipped = 0
-    gated_rows = 0
-    for key in shared:
-        family, n, shards = key
-        if shards <= 1:
-            continue
-        got = fresh[key]["speedup_vs_1"]
-        ref = base[key]["speedup_vs_1"]
-        label = f"{family} n={n} s={shards}"
-        if min(fresh_cores, base_cores) < shards:
-            print(f"{label:>34} | {ref:8.2f} | {got:8.2f} | skipped "
-                  f"(host has fewer cores than shards)")
-            skipped += 1
-            continue
-        gated_rows += 1
-        regressed = got < ref * (1.0 - args.max_regression)
-        print(f"{label:>34} | {ref:8.2f} | {got:8.2f} "
-              f"| {'FAIL' if regressed else 'ok'}")
-        if regressed:
-            failures.append(
-                f"{family} n={n} shards={shards}: speedup_vs_1 regressed "
-                f"{ref:.2f} -> {got:.2f} (> {args.max_regression:.0%} drop)")
-
-    if not failures:
-        print(f"\nshard gate passed: identity on {len(fresh)} fresh rows, "
-              f"scaling on {gated_rows} gated rows "
-              f"({skipped} skipped for core count)")
-    return failures
 
 
 def gate_seedbatch(fresh_data, base_data, args):
@@ -490,9 +416,7 @@ def main():
         sys.exit(f"bench kind mismatch: fresh is {fresh_data['bench']}, "
                  f"baseline is {base_data['bench']}")
 
-    if fresh_data["bench"] == "perf_shard":
-        failures = gate_shard(fresh_data, base_data, args)
-    elif fresh_data["bench"] == "perf_seedbatch":
+    if fresh_data["bench"] == "perf_seedbatch":
         failures = gate_seedbatch(fresh_data, base_data, args)
     elif fresh_data["bench"] == "perf_schedbatch":
         failures = gate_schedbatch(fresh_data, base_data, args)
