@@ -9,6 +9,10 @@
 // count stays below ceil(log2 n) + 1. The comparison columns show that
 // naive trees (BFS from the source) can exceed the 4n budget on dense
 // port-rich graphs while the light tree never does.
+//
+// Exit status: 1 if any row breaks Sigma #2(w) <= 4n or any E3b phase
+// breaks C_k <= k * |T_small(k)| (the violations are listed on stderr), so
+// a run of this binary is itself a check of Claim 3.1.
 #include <iostream>
 
 #include "bench_common.h"
@@ -22,11 +26,18 @@ int main(int argc, char** argv) {
   // carries just the envelope (bench id, jobs, total_wall_ns).
   bench::Harness harness("e3_light_tree", argc, argv);
   (void)harness;
+  int violations = 0;
   {
     Table t({"family", "n", "light contrib", "contrib/n", "<=4n?", "phases",
              "bfs contrib", "dfs contrib", "kruskal contrib"});
     for (const bench::Workload& w : bench::standard_workloads()) {
       const LightTreeResult light = light_tree(w.graph, 0);
+      const bool within = light.contribution <= 4 * w.n;
+      if (!within) {
+        ++violations;
+        std::cerr << "E3 violation: " << w.family << " n=" << w.n
+                  << " contribution " << light.contribution << " > 4n\n";
+      }
       const std::uint64_t bfs =
           tree_contribution(w.graph, bfs_tree(w.graph, 0));
       const std::uint64_t dfs =
@@ -40,7 +51,7 @@ int main(int argc, char** argv) {
           .cell(static_cast<double>(light.contribution) /
                     static_cast<double>(w.n),
                 3)
-          .cell(light.contribution <= 4 * w.n ? "yes" : "NO")
+          .cell(within ? "yes" : "NO")
           .cell(light.phases.size())
           .cell(bfs)
           .cell(dfs)
@@ -57,6 +68,13 @@ int main(int argc, char** argv) {
     Table t({"phase k", "trees before", "small trees", "edges added",
              "edges erased", "C_k", "proof cap k*|small|"});
     for (const LightTreePhase& p : r.phases) {
+      const std::uint64_t cap =
+          static_cast<std::uint64_t>(p.phase) * p.small_trees;
+      if (p.contribution > cap) {
+        ++violations;
+        std::cerr << "E3b violation: phase " << p.phase << " C_k "
+                  << p.contribution << " > k*|T_small(k)| = " << cap << "\n";
+      }
       t.row()
           .cell(p.phase)
           .cell(p.trees_before)
@@ -64,10 +82,14 @@ int main(int argc, char** argv) {
           .cell(p.edges_added)
           .cell(p.edges_erased)
           .cell(p.contribution)
-          .cell(static_cast<std::uint64_t>(p.phase) * p.small_trees);
+          .cell(cap);
     }
     t.print(std::cout,
             "E3b: per-phase accounting on K*_2048 (C_k <= k * |T_small(k)|)");
+  }
+  if (violations > 0) {
+    std::cerr << "E3: " << violations << " Claim 3.1 violation(s)\n";
+    return 1;
   }
   return 0;
 }

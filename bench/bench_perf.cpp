@@ -374,8 +374,11 @@ int run_sweep(int argc, char** argv) {
 // edge list on both sides: into the builder state ("nested"), and into the
 // builder state plus freeze() ("csr"), min of --repeat runs; memory is
 // PortGraph::memory_bytes() in each state (capacity slack included — what
-// the process actually holds). tools/perf_gate.py checks the committed
-// BENCH_perf_csr.json against a fresh run.
+// the process actually holds). Each row also checks what it times: the
+// legacy and production wakeup and broadcast advice must be bit-equal
+// (the `identical` field); any mismatch makes the binary exit 1.
+// tools/perf_gate.py checks the committed BENCH_perf_csr.json against a
+// fresh run and fails any row whose advice is not identical.
 // ---------------------------------------------------------------------------
 
 /// Copy of `g` rebuilt from its labels and `edges` (= g.edges()): same
@@ -433,6 +436,7 @@ int run_csr_compare(int argc, char** argv) {
     std::uint64_t wake_csr_ns = 0;
     std::uint64_t bcast_nested_ns = 0;
     std::uint64_t bcast_csr_ns = 0;
+    bool identical = false;  ///< legacy == production advice, both oracles
   };
 
   // Large-n emphasis: the acceptance rows are complete n >= 2048; the
@@ -477,6 +481,9 @@ int run_csr_compare(int argc, char** argv) {
     // layout AND legacy kernels — see bench/legacy_ref.h); the "csr"
     // numbers run the production oracles on the frozen graph.
     const bench::legacy::NestedGraph lg(w.graph);
+    row.identical =
+        bench::legacy::wakeup_advise(lg, 0) == wakeup.advise(w.graph, 0) &&
+        bench::legacy::broadcast_advise(lg, 0) == broadcast.advise(w.graph, 0);
     row.wake_nested_ns = time_min_ns(repeat, sink, [&] {
       return oracle_size_bits(bench::legacy::wakeup_advise(lg, 0));
     });
@@ -494,8 +501,10 @@ int run_csr_compare(int argc, char** argv) {
 
   auto ratio = [](double num, double den) { return den > 0 ? num / den : 0.0; };
   Table t({"family", "n", "m", "wake_speedup", "bcast_speedup", "build_x",
-           "B/edge nested", "B/edge csr", "mem_saved"});
+           "B/edge nested", "B/edge csr", "mem_saved", "identical"});
+  bool all_identical = true;
   for (const Row& r : rows) {
+    all_identical = all_identical && r.identical;
     t.row()
         .cell(r.family)
         .cell(r.n)
@@ -508,18 +517,24 @@ int run_csr_compare(int argc, char** argv) {
                     static_cast<double>(r.build_csr_ns)), 2)
         .cell(r.bpe_nested, 1)
         .cell(r.bpe_csr, 1)
-        .cell(1.0 - ratio(r.bpe_csr, r.bpe_nested), 3);
+        .cell(1.0 - ratio(r.bpe_csr, r.bpe_nested), 3)
+        .cell(r.identical ? "yes" : "NO");
   }
   t.print(std::cout,
           "CSR vs nested-vector layout: advise wall time (min of " +
               std::to_string(repeat) + "), build time, resident bytes/edge");
   std::cout << "checksum=" << sink << "\n";
+  const int status = all_identical ? 0 : 1;
+  if (!all_identical) {
+    std::cerr << "error: legacy and production advice differ on a row "
+                 "marked identical=NO\n";
+  }
 
-  if (json_path.empty()) return 0;
+  if (json_path.empty()) return status;
   std::ofstream out(json_path);
   if (!out) {
     std::cerr << "warning: cannot write " << json_path << "\n";
-    return 0;
+    return status;
   }
   out << "{\n  \"bench\": \"perf_csr\",\n  \"repeat\": " << repeat
       << ",\n  \"rows\": [";
@@ -542,12 +557,12 @@ int run_csr_compare(int argc, char** argv) {
         << ", \"bytes_per_edge_nested\": " << r.bpe_nested
         << ", \"bytes_per_edge_csr\": " << r.bpe_csr
         << ", \"bytes_reduction\": " << 1.0 - ratio(r.bpe_csr, r.bpe_nested)
-        << "}";
+        << ", \"identical\": " << (r.identical ? "true" : "false") << "}";
   }
   out << "\n  ]\n}\n";
   std::cerr << "[bench] wrote " << rows.size() << " CSR comparison rows to "
             << json_path << "\n";
-  return 0;
+  return status;
 }
 
 // ---------------------------------------------------------------------------

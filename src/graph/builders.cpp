@@ -139,9 +139,14 @@ PortGraph make_random_connected(std::size_t n, double p, Rng& rng) {
   // Re-add tree edges into a fresh graph, then sprinkle extras.
   PortGraph g(n);
   for (const Edge& e : tree.edges()) g.add_edge_auto(e.u, e.v);
+  // When pair (u, v > u) is visited, the only edge {u, v} that can already
+  // exist is a tree edge (extras are added only for the current pair), so
+  // stamping u's tree neighbours makes the membership test O(1).
+  std::vector<NodeId> stamp(n, kNoNode);
   for (NodeId u = 0; u < n; ++u) {
+    for (const Endpoint& e : tree.neighbors(u)) stamp[e.node] = u;
     for (NodeId v = u + 1; v < n; ++v) {
-      if (g.port_towards(u, v) != kNoPort) continue;
+      if (stamp[v] == u) continue;
       if (rng.chance(p)) g.add_edge_auto(u, v);
     }
   }

@@ -34,6 +34,13 @@ PortGraph make_random_tree(std::size_t n, Rng& rng);
 
 /// Connected Erdos-Renyi-style graph: a random spanning tree plus each
 /// remaining pair joined independently with probability p.
+///
+/// The build is O(n^2): it makes exactly one rng.chance(p) draw per
+/// non-tree pair, in (u, v > u) order. That draw order IS the seeded
+/// graph, so keeping it keeps every seeded workload, golden and committed
+/// BENCH table unchanged. Geometric skip sampling (Batagelj-Brandes) would
+/// make it O(n + m) but draws differently; it is deferred until a change
+/// is ready to re-pin those outputs.
 PortGraph make_random_connected(std::size_t n, double p, Rng& rng);
 
 /// The classic lollipop: a clique on ceil(n/2) nodes with a path of the

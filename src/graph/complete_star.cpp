@@ -1,6 +1,7 @@
 #include "graph/complete_star.h"
 
 #include <stdexcept>
+#include <vector>
 
 namespace oraclesize {
 
@@ -22,15 +23,19 @@ NodeId complete_star_neighbor(std::size_t n, NodeId i, Port p) {
 
 PortGraph make_complete_star(std::size_t n) {
   if (n < 2) throw std::invalid_argument("make_complete_star: n >= 2");
-  PortGraph g(n);
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) {
-      g.add_edge(i, complete_star_port(n, i, j), j,
-                 complete_star_port(n, j, i));
+  // Every degree is n-1, so the CSR rows are written directly; each edge
+  // still goes through from_degrees' range/self-loop/occupied checks.
+  const std::vector<std::size_t> degrees(n, n - 1);
+  return PortGraph::from_degrees(degrees, [n](auto add) {
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = i + 1; j < n; ++j) {
+        // complete_star_port in closed form for i < j: (j - i) - 1 at i,
+        // (n - (j - i)) - 1 at j.
+        const std::size_t d = j - i;
+        add(i, static_cast<Port>(d - 1), j, static_cast<Port>(n - d - 1));
+      }
     }
-  }
-  g.freeze();
-  return g;
+  });
 }
 
 }  // namespace oraclesize

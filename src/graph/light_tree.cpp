@@ -54,61 +54,62 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
   forest.reserve(n - 1);
   LightTreeResult result;
 
-  // Edges in ascending-weight order (stable counting sort, weights are
-  // ports bounded by the max degree), held as compact {u, port_u} handles
-  // resolved against the graph's own adjacency — the O(m) Edge list is
-  // never materialized, which on dense graphs halves the memory this pass
-  // touches. The enumeration below (u ascending, port ascending, kept when
-  // u < neighbor) IS g.edges() order, so scanning the sorted handles the
-  // FIRST outgoing edge a component meets is its minimum-weight one with
-  // exactly the historical tie-break (lowest g.edges() index among equal
-  // weights) — a phase stops scanning as soon as every small tree has been
-  // assigned an edge, instead of walking all m edges to keep running
-  // minima.
-  struct EdgeRef {
-    NodeId u;
-    Port pu;
+  // Edges in ascending-weight order, held as packed (u << 32) | port_u
+  // handles with u the smaller endpoint (the packing is monotone in
+  // (u, port_u), i.e. in g.edges() order) and resolved against the
+  // graph's own adjacency: the O(m) Edge list is never built. A small
+  // tree's pick is its lightest outgoing edge, ties broken by the smallest
+  // handle — the lowest g.edges() index, exactly the historical tie-break.
+  //
+  // Weight buckets are materialized lazily, in weight order, only when a
+  // scan runs out of handles: on dense graphs the early phases finish
+  // inside the first few buckets (on K*_n the single phase reads only
+  // bucket 0), so most of the m edges are never touched. Within a bucket
+  // handles stay in materialization order; instead of sorting them, a
+  // root keeps the smallest handle it meets in the bucket where it first
+  // met one, and a phase only stops at a bucket boundary.
+  const auto unpack_u = [](std::uint64_t key) {
+    return static_cast<NodeId>(key >> 32);
   };
-  std::vector<EdgeRef> order;
-  {
-    std::size_t max_deg = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      max_deg = std::max(max_deg, g.neighbors(u).size());
-    }
-    std::vector<std::size_t> bucket_start(max_deg + 2, 0);
-    std::size_t m = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      const std::span<const Endpoint> row = g.neighbors(u);
-      for (Port p = 0; p < row.size(); ++p) {
-        const Endpoint e = row[p];
-        if (e.node == kNoNode || u >= e.node) continue;
-        ++bucket_start[std::min<Port>(p, e.port) + 1];
-        ++m;
-      }
-    }
-    for (std::size_t w = 1; w < bucket_start.size(); ++w) {
-      bucket_start[w] += bucket_start[w - 1];
-    }
-    order.resize(m);
-    for (NodeId u = 0; u < n; ++u) {
-      const std::span<const Endpoint> row = g.neighbors(u);
-      for (Port p = 0; p < row.size(); ++p) {
-        const Endpoint e = row[p];
-        if (e.node == kNoNode || u >= e.node) continue;
-        order[bucket_start[std::min<Port>(p, e.port)]++] = EdgeRef{u, p};
-      }
-    }
+  const auto unpack_port = [](std::uint64_t key) {
+    return static_cast<Port>(key);
+  };
+  const auto pack = [](NodeId u, Port pu) {
+    return (static_cast<std::uint64_t>(u) << 32) | pu;
+  };
+  // The nodes that can still hold a handle of the next bucket (degree >
+  // its weight), in id order. Each bucket drops the nodes it exhausts, so
+  // building every bucket costs sum of degrees = O(m) in total.
+  std::vector<NodeId> active;
+  active.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!g.neighbors(v).empty()) active.push_back(v);
   }
-  // best[rep] holds the chosen edge as a packed (u << 32) | port_u key;
-  // the packing is monotone in (u, port_u), i.e. in g.edges() order, so
-  // sorting keys reproduces the historical pick-processing order.
-  constexpr std::uint64_t kUnset = std::numeric_limits<std::uint64_t>::max();
-  const auto pack = [](const EdgeRef r) {
-    return (static_cast<std::uint64_t>(r.u) << 32) | r.pu;
+  Port next_weight = 0;  // the next bucket to materialize
+  std::vector<std::uint64_t> order;  // live handles are order[head, end)
+  std::size_t head = 0;
+  // Appends bucket next_weight: the edges whose smaller port is w, each
+  // seen from an endpoint x holding it at port w (an edge with port w at
+  // both ends is taken from the smaller id only).
+  const auto materialize_next = [&]() {
+    const Port w = next_weight++;
+    std::size_t keep = 0;
+    for (const NodeId x : active) {
+      const std::span<const Endpoint> row = g.neighbors(x);
+      if (row.size() > w + 1) active[keep++] = x;
+      const Endpoint e = row[w];
+      if (e.node == kNoNode || e.port < w || (e.port == w && e.node < x)) {
+        continue;
+      }
+      order.push_back(x < e.node ? pack(x, w) : pack(e.node, e.port));
+    }
+    active.resize(keep);
   };
-  // A flat best[] array (reps are node ids) reset via the touched list —
-  // no hashing on the inner loop.
+  constexpr std::uint64_t kUnset = std::numeric_limits<std::uint64_t>::max();
+  // Flat best[] / best_weight[] arrays (reps are node ids) reset via the
+  // touched list — no hashing on the inner loop.
   std::vector<std::uint64_t> best(n, kUnset);
+  std::vector<Port> best_weight(n, 0);
   std::vector<std::size_t> touched;
 
   // Phases k = 1, 2, ...: every tree of size < 2^k selects a minimum-weight
@@ -129,33 +130,61 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
       if (dsu.find(v) == v && dsu.size_of(v) < small_limit) ++needed;
     }
 
-    // The scan also permanently compacts internal edges out of `order`: an
-    // edge whose endpoints share a component can never leave one again.
-    // Relative (weight, index) order is preserved; on early exit the
-    // unscanned tail is kept verbatim.
+    // The scan also permanently drops internal edges: an edge whose
+    // endpoints share a component can never leave one again. Kept handles
+    // are compacted to the front of the scanned range and then moved up
+    // against the unscanned tail, so a phase costs O(scanned), never
+    // O(tail). Relative order is preserved, so buckets stay in weight
+    // order. Once every small tree has a pick, the scan still finishes the
+    // current bucket: a later handle of the same weight may be smaller.
     touched.clear();
-    std::size_t out = 0;
-    std::size_t i = 0;
-    for (; i < order.size() && touched.size() < needed; ++i) {
-      const EdgeRef ref = order[i];
-      const Endpoint other = g.neighbors(ref.u)[ref.pu];
-      const std::size_t ru = dsu.find(ref.u);
+    std::size_t out = head;
+    std::size_t i = head;
+    Port scan_weight = 0;
+    for (;;) {
+      if (i == order.size()) {
+        // Buckets are appended whole, so the tail ends on a boundary.
+        if (touched.size() == needed || active.empty()) break;
+        materialize_next();
+        continue;
+      }
+      const std::uint64_t key = order[i];
+      const NodeId u = unpack_u(key);
+      const Port pu = unpack_port(key);
+      const Endpoint other = g.neighbors(u)[pu];
+      const Port w = std::min(pu, other.port);
+      if (touched.size() == needed && (i == head || w != scan_weight)) break;
+      ++i;
+      scan_weight = w;
+      const std::size_t ru = dsu.find(u);
       const std::size_t rv = dsu.find(other.node);
-      if (ru == rv) continue;  // internal: compacted away for good
-      order[out++] = ref;
+      if (ru == rv) {
+        ++phase.internal_dropped;
+        continue;
+      }
+      order[out++] = key;
       for (const std::size_t r : {ru, rv}) {
         if (dsu.size_of(r) >= small_limit) continue;
         if (best[r] == kUnset) {
-          best[r] = pack(ref);  // first seen = lightest, earliest tie-break
+          best[r] = key;  // first bucket seen = lightest weight
+          best_weight[r] = w;
           touched.push_back(r);
+        } else if (best_weight[r] == w && key < best[r]) {
+          best[r] = key;  // same weight, earlier in g.edges() order
         }
       }
     }
-    for (; i < order.size(); ++i) order[out++] = order[i];
-    order.resize(out);
+    phase.edges_scanned = i - head;
+    const auto base = order.begin();
+    std::move_backward(base + static_cast<std::ptrdiff_t>(head),
+                       base + static_cast<std::ptrdiff_t>(out),
+                       base + static_cast<std::ptrdiff_t>(i));
+    head = i - (out - head);
     phase.small_trees = touched.size();
 
     // Two trees may select the same edge; add it once (no cycle arises).
+    // Sorting the packed keys reproduces the historical pick-processing
+    // order (g.edges() order).
     std::vector<std::uint64_t> picks;
     picks.reserve(touched.size());
     for (const std::size_t rep : touched) {
@@ -166,8 +195,8 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
     picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
 
     for (const std::uint64_t key : picks) {
-      const NodeId u = static_cast<NodeId>(key >> 32);
-      const Port pu = static_cast<Port>(key);
+      const NodeId u = unpack_u(key);
+      const Port pu = unpack_port(key);
       const Endpoint other = g.neighbors(u)[pu];
       const Edge e{u, pu, other.node, other.port};
       if (dsu.unite(e.u, e.v)) {
@@ -185,6 +214,7 @@ LightTreeResult light_tree(const PortGraph& g, NodeId root) {
     }
   }
 
+  result.edges_materialized = order.size();
   for (const LightTreePhase& p : result.phases) {
     result.contribution += p.contribution;
   }

@@ -28,15 +28,28 @@ struct LightTreePhase {
   std::size_t edges_added = 0;     ///< selected edges that merged trees
   std::size_t edges_erased = 0;    ///< selected edges erased (cycle-closing)
   std::uint64_t contribution = 0;  ///< C_k = sum of #2(w) over added edges
+  std::size_t edges_scanned = 0;     ///< edge handles the phase scan read
+  std::size_t internal_dropped = 0;  ///< of those, internal: dropped for good
 };
 
 struct LightTreeResult {
   SpanningTree tree;
   std::vector<LightTreePhase> phases;
   std::uint64_t contribution = 0;  ///< sum of #2(w(e)) over tree edges
+  /// Edge handles ever put in weight order. Weight buckets are built only
+  /// when a phase scan runs out of handles, so this is usually far below m
+  /// on dense graphs (K*_n reads only bucket 0: n handles).
+  std::size_t edges_materialized = 0;
 };
 
-/// Runs the Claim 3.1 construction on a connected graph. O(m log n).
+/// Runs the Claim 3.1 construction on a connected graph.
+///
+/// Cost: O(m) in total for the weight buckets that get built (bucket w
+/// visits only nodes of degree > w, and no bucket is sorted), and per phase
+/// O(n) to count small trees plus O(scanned) for the scan (never the
+/// unscanned tail); at most ceil(log2 n) + 1 phases. Buckets are built
+/// only when a scan runs out of handles, so a dense graph whose trees all
+/// find an edge of weight 0 (K*_n) costs O(n) per phase, not O(m).
 LightTreeResult light_tree(const PortGraph& g, NodeId root);
 
 }  // namespace oraclesize

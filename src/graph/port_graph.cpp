@@ -23,10 +23,11 @@ namespace {
                          ": graph is frozen (immutable CSR)");
 }
 
-[[gnu::cold]] [[noreturn]] void throw_freeze_hole(NodeId v, Port p) {
+[[gnu::cold]] [[noreturn]] void throw_hole(const char* where, NodeId v,
+                                           Port p) {
   std::ostringstream os;
-  os << "freeze: node " << v << " has a vacant port " << p
-     << " below its top occupied slot";
+  os << where << ": node " << v << " has a vacant port " << p
+     << " (occupied ports must be exactly 0..deg-1)";
   throw std::invalid_argument(os.str());
 }
 
@@ -89,7 +90,7 @@ void PortGraph::freeze() {
   for (NodeId v = 0; v < n; ++v) {
     offsets_[v] = total;
     for (Port p = 0; p < adj_[v].size(); ++p) {
-      if (adj_[v][p].node == kNoNode) throw_freeze_hole(v, p);
+      if (adj_[v][p].node == kNoNode) throw_hole("freeze", v, p);
     }
     total += adj_[v].size();
   }
@@ -102,6 +103,49 @@ void PortGraph::freeze() {
   adj_ = {};
   next_free_ = {};
   frozen_ = true;
+}
+
+PortGraph PortGraph::csr_rows(std::span<const std::size_t> degrees) {
+  const std::size_t n = degrees.size();
+  PortGraph g;
+  g.labels_.resize(n);
+  g.offsets_.resize(n + 1);
+  std::uint64_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    g.labels_[v] = static_cast<Label>(v) + 1;  // paper-style labels 1..n
+    g.offsets_[v] = total;
+    total += degrees[v];
+  }
+  g.offsets_[n] = total;
+  g.endpoints_.assign(static_cast<std::size_t>(total), Endpoint{});
+  g.frozen_ = true;
+  return g;
+}
+
+void PortGraph::throw_bad_csr_edge(NodeId u, Port pu, NodeId v,
+                                   Port pv) const {
+  const std::size_t n = num_nodes();
+  if (u >= n || v >= n) {
+    throw std::invalid_argument("from_degrees: node out of range");
+  }
+  if (u == v) throw std::invalid_argument("from_degrees: self-loop");
+  if (pu >= degree_u(u) || pv >= degree_u(v)) {
+    throw std::invalid_argument("from_degrees: port beyond node degree");
+  }
+  throw std::invalid_argument("from_degrees: port already occupied");
+}
+
+void PortGraph::csr_check_no_holes() const {
+  // Each successful add filled two distinct vacant slots, so the rows are
+  // full iff 2m equals the slot count; only a failure pays for the scan
+  // that names the hole.
+  if (2 * num_edges_ == endpoints_.size()) return;
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    const std::span<const Endpoint> row = neighbors(v);
+    for (Port p = 0; p < row.size(); ++p) {
+      if (row[p].node == kNoNode) throw_hole("from_degrees", v, p);
+    }
+  }
 }
 
 std::size_t PortGraph::degree(NodeId v) const {

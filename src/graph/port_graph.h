@@ -14,9 +14,10 @@
 //    incremental add_edge / add_edge_auto, including out-of-order port
 //    slots with temporary holes;
 //  * FROZEN — a compact CSR layout (flat offsets[] + endpoints[] arrays)
-//    produced by freeze(). Frozen graphs are immutable: the builder
-//    mutators throw std::logic_error, every per-port lookup is one array
-//    index, and neighbors(v) exposes the whole adjacency row as a
+//    produced by freeze(), or written directly by from_degrees() when the
+//    degree sequence is known up front. Frozen graphs are immutable: the
+//    builder mutators throw std::logic_error, every per-port lookup is one
+//    array index, and neighbors(v) exposes the whole adjacency row as a
 //    contiguous span for allocation-free traversal.
 //
 // The checked accessors (degree/neighbor/has_port/port_towards/edges)
@@ -98,6 +99,25 @@ class PortGraph {
   /// read accessors answer identically before and after.
   void freeze();
 
+  /// Builds a frozen graph straight into CSR, skipping the builder state
+  /// and the freeze() copy. Node v gets a row of degrees[v] port slots
+  /// (degrees.size() nodes, labels 1..n); then fill(add) is called once,
+  /// and each add(u, pu, v, pv) places one undirected edge. Every add
+  /// applies add_edge's checks and throws std::invalid_argument if a node
+  /// is out of range, u == v, a port is not below its node's degree, or a
+  /// slot is already occupied. Once fill returns, freeze()'s hole check
+  /// runs: every slot must be occupied (std::invalid_argument otherwise).
+  template <typename Fill>
+  static PortGraph from_degrees(std::span<const std::size_t> degrees,
+                                Fill&& fill) {
+    PortGraph g = csr_rows(degrees);
+    fill([&g](NodeId u, Port pu, NodeId v, Port pv) {
+      g.csr_add_edge(u, pu, v, pv);
+    });
+    g.csr_check_no_holes();
+    return g;
+  }
+
   /// True once freeze() has run: the graph is immutable CSR.
   bool frozen() const noexcept { return frozen_; }
 
@@ -168,6 +188,28 @@ class PortGraph {
   std::string summary() const;
 
  private:
+  // from_degrees() helpers: frozen CSR rows of all-vacant slots, the
+  // checked per-edge write, and the closing hole check.
+  static PortGraph csr_rows(std::span<const std::size_t> degrees);
+  void csr_add_edge(NodeId u, Port pu, NodeId v, Port pv) {
+    const std::size_t n = num_nodes();
+    if (u >= n || v >= n || u == v || pu >= degree_u(u) ||
+        pv >= degree_u(v)) {
+      throw_bad_csr_edge(u, pu, v, pv);
+    }
+    Endpoint& su = endpoints_[offsets_[u] + pu];
+    Endpoint& sv = endpoints_[offsets_[v] + pv];
+    if (su.node != kNoNode || sv.node != kNoNode) {
+      throw_bad_csr_edge(u, pu, v, pv);
+    }
+    su = Endpoint{v, pv};
+    sv = Endpoint{u, pu};
+    ++num_edges_;
+  }
+  [[gnu::cold]] [[noreturn]] void throw_bad_csr_edge(NodeId u, Port pu,
+                                                     NodeId v, Port pv) const;
+  void csr_check_no_holes() const;
+
   // Builder state (released by freeze()).
   std::vector<std::vector<Endpoint>> adj_;  // adj_[v][port]
   std::vector<Port> next_free_;             // add_edge_auto scan cursors

@@ -5,14 +5,6 @@
 
 namespace oraclesize {
 
-std::uint64_t Rng::next_u64() noexcept {
-  // SplitMix64 (Steele, Lea, Flood 2014). Public-domain reference constants.
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   assert(bound > 0);
   // Rejection sampling to avoid modulo bias.
@@ -29,17 +21,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (width == 0) return static_cast<std::int64_t>(next_u64());  // full range
   return lo + static_cast<std::int64_t>(below(width));
-}
-
-double Rng::unit() noexcept {
-  // 53 random mantissa bits -> uniform double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return unit() < p;
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -33,8 +33,14 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) noexcept : state_(seed) {}
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64() noexcept;
+  /// Next raw 64-bit value: SplitMix64 (Steele, Lea, Flood 2014), i.e. the
+  /// finalizer of the advanced state — mix64 adds the same increment first.
+  /// Inline because graph builders draw once per vertex pair.
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t z = state_;
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return mix64(z);
+  }
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   std::uint64_t below(std::uint64_t bound) noexcept;
@@ -42,11 +48,18 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Uniform double in [0, 1).
-  double unit() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double unit() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool chance(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]). Draws
+  /// nothing when p <= 0 or p >= 1.
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return unit() < p;
+  }
 
   /// Fisher-Yates shuffle of a vector, using this generator.
   template <typename T>

@@ -117,6 +117,87 @@ TEST(CsrGraph, FreezeRejectsPortHoles) {
   EXPECT_FALSE(g.frozen());
 }
 
+// ---- PortGraph::from_degrees: direct-to-CSR construction ----
+
+// A triangle 0-1-2 plus a pendant 3 on node 2, with out-of-order ports.
+void fill_paw(const auto& add) {
+  add(0, 1, 1, 0);
+  add(1, 1, 2, 2);
+  add(0, 0, 2, 0);
+  add(2, 1, 3, 0);
+}
+
+TEST(CsrGraph, FromDegreesMatchesAddEdgePlusFreeze) {
+  PortGraph expect(4);
+  fill_paw([&expect](NodeId u, Port pu, NodeId v, Port pv) {
+    expect.add_edge(u, pu, v, pv);
+  });
+  expect.freeze();
+  const std::vector<std::size_t> degrees{2, 2, 3, 1};
+  PortGraph g =
+      PortGraph::from_degrees(degrees, [](auto add) { fill_paw(add); });
+  EXPECT_TRUE(g.frozen());
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_edges(), 4u);
+  EXPECT_EQ(g.edges(), expect.edges());
+  EXPECT_EQ(g.memory_bytes(), expect.memory_bytes());
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_EQ(g.label(v), expect.label(v));
+    EXPECT_EQ(g.degree(v), expect.degree(v));
+  }
+  EXPECT_THROW(g.add_edge_auto(0, 3), std::logic_error);
+}
+
+TEST(CsrGraph, FromDegreesRejectsOccupiedSlot) {
+  const std::vector<std::size_t> degrees{2, 2, 3, 1};
+  EXPECT_THROW(PortGraph::from_degrees(degrees,
+                                       [](auto add) {
+                                         fill_paw(add);
+                                         add(0, 1, 3, 0);  // both taken
+                                       }),
+               std::invalid_argument);
+  const std::vector<std::size_t> roomy{3, 2, 3, 2};
+  EXPECT_THROW(PortGraph::from_degrees(roomy,
+                                       [](auto add) {
+                                         fill_paw(add);
+                                         add(0, 2, 2, 1);  // only far side
+                                       }),
+               std::invalid_argument);
+}
+
+TEST(CsrGraph, FromDegreesRejectsHole) {
+  const std::vector<std::size_t> degrees{2, 2, 3, 2};  // node 3 port 1 left
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { fill_paw(add); }),
+      std::invalid_argument);
+  const std::vector<std::size_t> pair{1, 1};
+  EXPECT_THROW(PortGraph::from_degrees(pair, [](auto) {}),
+               std::invalid_argument);
+}
+
+TEST(CsrGraph, FromDegreesRejectsSelfLoop) {
+  const std::vector<std::size_t> degrees{2, 1, 1};
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { add(0, 0, 0, 1); }),
+      std::invalid_argument);
+}
+
+TEST(CsrGraph, FromDegreesRejectsOutOfRangeNodeOrPort) {
+  const std::vector<std::size_t> degrees{1, 1};
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { add(0, 0, 2, 0); }),
+      std::invalid_argument);
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { add(kNoNode, 0, 1, 0); }),
+      std::invalid_argument);
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { add(0, 1, 1, 0); }),
+      std::invalid_argument);
+  EXPECT_THROW(
+      PortGraph::from_degrees(degrees, [](auto add) { add(0, 0, 1, 5); }),
+      std::invalid_argument);
+}
+
 TEST(CsrGraph, AddEdgeAutoFillsHolesLeftByExplicitPorts) {
   PortGraph g(4);
   g.add_edge(0, 2, 1, 1);  // node 0: ports 0 and 1 still free

@@ -9,7 +9,10 @@
 // and say why in the commit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_runner.h"
@@ -71,6 +74,100 @@ TEST(Goldens, CompleteGraphOracleSizes) {
   const PortGraph k = make_complete_star(64);
   EXPECT_EQ(oracle_size_bits(TreeWakeupOracle().advise(k, 0)), 386u);
   EXPECT_EQ(oracle_size_bits(LightBroadcastOracle().advise(k, 0)), 252u);
+}
+
+// 64-bit FNV-1a over g.edges(), each field as 4 little-endian bytes: pins
+// every edge AND every port number of a builder's output, not just counts.
+std::uint64_t edge_digest(const PortGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint32_t x) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Edge& e : g.edges()) {
+    mix(e.u);
+    mix(e.port_u);
+    mix(e.v);
+    mix(e.port_v);
+  }
+  return h;
+}
+
+TEST(Goldens, RandomConnectedEdgeDigests) {
+  // p index: 0 -> 0.0, 1 -> 0.1, 2 -> 8/n, 3 -> 1.0. `next_draw` is the
+  // generator's next output after the build, so the number of draws the
+  // builder makes (one per non-tree pair) is pinned along with the graph.
+  struct Row {
+    std::size_t n;
+    int p_index;
+    std::uint64_t seed;
+    std::size_t m;
+    std::uint64_t digest;
+    std::uint64_t next_draw;
+  };
+  const Row rows[] = {
+      {1, 0, 5, 0, 0xcbf29ce484222325ULL, 0x63033b0ca389c35aULL},
+      {1, 0, 77, 0, 0xcbf29ce484222325ULL, 0x6258cbe07c1ff081ULL},
+      {1, 1, 5, 0, 0xcbf29ce484222325ULL, 0x63033b0ca389c35aULL},
+      {1, 1, 77, 0, 0xcbf29ce484222325ULL, 0x6258cbe07c1ff081ULL},
+      {1, 2, 5, 0, 0xcbf29ce484222325ULL, 0x63033b0ca389c35aULL},
+      {1, 2, 77, 0, 0xcbf29ce484222325ULL, 0x6258cbe07c1ff081ULL},
+      {1, 3, 5, 0, 0xcbf29ce484222325ULL, 0x63033b0ca389c35aULL},
+      {1, 3, 77, 0, 0xcbf29ce484222325ULL, 0x6258cbe07c1ff081ULL},
+      {2, 0, 5, 1, 0x692558b056101a44ULL, 0x63033b0ca389c35aULL},
+      {2, 0, 77, 1, 0x692558b056101a44ULL, 0x6258cbe07c1ff081ULL},
+      {2, 1, 5, 1, 0x692558b056101a44ULL, 0x63033b0ca389c35aULL},
+      {2, 1, 77, 1, 0x692558b056101a44ULL, 0x6258cbe07c1ff081ULL},
+      {2, 2, 5, 1, 0x692558b056101a44ULL, 0x63033b0ca389c35aULL},
+      {2, 2, 77, 1, 0x692558b056101a44ULL, 0x6258cbe07c1ff081ULL},
+      {2, 3, 5, 1, 0x692558b056101a44ULL, 0x63033b0ca389c35aULL},
+      {2, 3, 77, 1, 0x692558b056101a44ULL, 0x6258cbe07c1ff081ULL},
+      {30, 0, 5, 29, 0x487b21df9f8e8d2aULL, 0x75646c12c55ba4dfULL},
+      {30, 0, 77, 29, 0xfd929947a0c78e0eULL, 0x8290c06b2a3eced9ULL},
+      {30, 1, 5, 67, 0xe0e58a1f97a65177ULL, 0x1bfe655b23cf5176ULL},
+      {30, 1, 77, 74, 0xd364808c791d29caULL, 0xdec209146db05347ULL},
+      {30, 2, 5, 128, 0xeeef279d8ff92487ULL, 0x1bfe655b23cf5176ULL},
+      {30, 2, 77, 137, 0x48d44bb9fa493e72ULL, 0xdec209146db05347ULL},
+      {30, 3, 5, 435, 0xfe46db1e5358ca24ULL, 0x75646c12c55ba4dfULL},
+      {30, 3, 77, 435, 0xf531a497f3563a64ULL, 0x8290c06b2a3eced9ULL},
+      {300, 0, 5, 299, 0xd0bfd90c095bf7adULL, 0x650cfe5ba9d6c609ULL},
+      {300, 0, 77, 299, 0x011edb8ae7a2b4f8ULL, 0x862368c06cc18153ULL},
+      {300, 1, 5, 4816, 0x4489e880fe0364ebULL, 0x47acf6a829ede50cULL},
+      {300, 1, 77, 4787, 0x527bb4c5037b203dULL, 0xe9e6104c63bdf9caULL},
+      {300, 2, 5, 1523, 0x8649af26931bcfceULL, 0x47acf6a829ede50cULL},
+      {300, 2, 77, 1470, 0x96f702bb2f7aca19ULL, 0xe9e6104c63bdf9caULL},
+      {300, 3, 5, 44850, 0xf417728ecee4b765ULL, 0x650cfe5ba9d6c609ULL},
+      {300, 3, 77, 44850, 0xb3b87d5578f8e0e9ULL, 0x862368c06cc18153ULL},
+  };
+  for (const Row& r : rows) {
+    const double p = r.p_index == 0   ? 0.0
+                     : r.p_index == 1 ? 0.1
+                     : r.p_index == 2 ? 8.0 / static_cast<double>(r.n)
+                                      : 1.0;
+    Rng rng(r.seed);
+    const PortGraph g = make_random_connected(r.n, p, rng);
+    SCOPED_TRACE("n=" + std::to_string(r.n) + " p_index=" +
+                 std::to_string(r.p_index) + " seed=" + std::to_string(r.seed));
+    EXPECT_EQ(g.num_edges(), r.m);
+    EXPECT_EQ(edge_digest(g), r.digest);
+    EXPECT_EQ(rng.next_u64(), r.next_draw);
+  }
+}
+
+TEST(Goldens, CompleteStarEdgeDigests) {
+  const std::pair<std::size_t, std::uint64_t> rows[] = {
+      {2, 0x692558b056101a44ULL},
+      {3, 0xc0bd901074372094ULL},
+      {64, 0xaf62971c14792925ULL},
+      {257, 0x9592310885e8cd25ULL},
+  };
+  for (const auto& [n, digest] : rows) {
+    const PortGraph g = make_complete_star(n);
+    EXPECT_EQ(g.num_edges(), n * (n - 1) / 2) << n;
+    EXPECT_EQ(edge_digest(g), digest) << n;
+  }
 }
 
 TEST(Goldens, ZeroFaultPlanIsInvisible) {

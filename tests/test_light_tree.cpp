@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "graph/builders.h"
 #include "graph/complete_star.h"
 #include "graph/subdivision.h"
+#include "legacy_ref.h"
+#include "oracle/light_broadcast_oracle.h"
 #include "util/mathx.h"
 #include "util/rng.h"
 
@@ -77,15 +83,37 @@ TEST(LightTree, PhaseAccountingConsistent) {
   const LightTreeResult r = light_tree(g, 0);
   std::size_t total_added = 0;
   std::uint64_t total_contribution = 0;
+  std::size_t total_dropped = 0;
   for (const LightTreePhase& p : r.phases) {
     EXPECT_GT(p.trees_before, 1u);
     EXPECT_LE(p.small_trees, p.trees_before);
     EXPECT_LE(p.edges_added, p.small_trees);
+    // Each small tree was assigned one of the kept (non-internal) handles,
+    // and one handle serves at most its two endpoint trees.
+    EXPECT_LE(p.internal_dropped, p.edges_scanned);
+    EXPECT_GE(2 * (p.edges_scanned - p.internal_dropped), p.small_trees);
+    EXPECT_LE(p.edges_scanned, r.edges_materialized);
     total_added += p.edges_added;
     total_contribution += p.contribution;
+    total_dropped += p.internal_dropped;
   }
   EXPECT_EQ(total_added, g.num_nodes() - 1);
   EXPECT_EQ(total_contribution, r.contribution);
+  // A dropped handle is gone for good, so no handle is dropped twice.
+  EXPECT_LE(total_dropped, r.edges_materialized);
+  EXPECT_LE(r.edges_materialized, g.num_edges());
+}
+
+TEST(LightTree, CompleteGraphMaterializesOnlyLightBuckets) {
+  // On K*_n the single phase is satisfied by weight bucket 0 (the n-cycle
+  // of port-0 edges); the other ~n^2/2 edges must never be put in order.
+  const std::size_t n = 512;
+  const PortGraph g = make_complete_star(n);
+  const LightTreeResult r = light_tree(g, 0);
+  EXPECT_LE(r.edges_materialized, 2 * n);
+  EXPECT_LT(r.edges_materialized, g.num_edges());
+  ASSERT_EQ(r.phases.size(), 1u);
+  EXPECT_LE(r.phases[0].edges_scanned, r.edges_materialized);
 }
 
 TEST(LightTree, PaperPerPhaseBound) {
@@ -116,6 +144,84 @@ TEST(LightTree, BeatsBfsOnAdversarialStar) {
   const LightTreeResult light = light_tree(g, 0);
   const SpanningTree bfs = bfs_tree(g, 0);
   EXPECT_LE(light.contribution, tree_contribution(g, bfs));
+}
+
+// Differential check against the pre-CSR reference pipeline
+// (bench/legacy_ref.h): a rescan-everything Boruvka loop whose tie-break is
+// the lowest g.edges() index among equal weights. Any change to how the
+// production construction orders or skips edges must leave both the tree
+// edge set and the broadcast advice bit-identical on every graph here —
+// including port-shuffled complete graphs, where almost every weight ties.
+struct DiffCase {
+  std::string name;
+  PortGraph graph;
+  NodeId source;
+};
+
+std::vector<DiffCase> differential_cases() {
+  std::vector<DiffCase> out;
+  Rng rng(20261017);
+  const auto add = [&out](std::string name, PortGraph g, NodeId source) {
+    out.push_back({std::move(name), std::move(g), source});
+  };
+  for (std::size_t i = 0; i < 10; ++i) {
+    const std::size_t n = 12 + 23 * i;
+    const double p = (i % 2 == 0) ? 0.15 : 6.0 / static_cast<double>(n);
+    add("random" + std::to_string(i), make_random_connected(n, p, rng),
+        static_cast<NodeId>(i % n));
+  }
+  for (std::size_t i = 0; i < 10; ++i) {
+    const std::size_t n = 20 + 17 * i;
+    add("shuffled-random" + std::to_string(i),
+        shuffle_ports(make_random_connected(n, 0.2, rng), rng),
+        static_cast<NodeId>((3 * i) % n));
+  }
+  for (std::size_t i = 0; i < 10; ++i) {
+    const std::size_t n = 4 + 13 * i;
+    add("shuffled-complete" + std::to_string(i),
+        shuffle_ports(make_complete_star(n), rng),
+        static_cast<NodeId>(i % n));
+  }
+  for (const std::size_t n : {2u, 3u, 17u, 64u, 130u}) {
+    add("complete" + std::to_string(n), make_complete_star(n), 0);
+  }
+  for (const std::size_t n : {2u, 9u, 40u, 101u}) {
+    add("lollipop" + std::to_string(n), make_lollipop(n),
+        static_cast<NodeId>(n - 1));
+  }
+  for (const std::size_t a : {1u, 3u, 8u}) {
+    add("bipartite" + std::to_string(a), make_complete_bipartite(a, 2 * a + 1),
+        0);
+    add("shuffled-bipartite" + std::to_string(a),
+        shuffle_ports(make_complete_bipartite(a + 2, a + 5), rng), 1);
+  }
+  for (const std::size_t n : {2u, 7u, 50u}) {
+    add("star" + std::to_string(n), make_star(n), static_cast<NodeId>(n - 1));
+  }
+  return out;
+}
+
+std::vector<Edge> sorted_edges(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.port_u < b.port_u;
+  });
+  return edges;
+}
+
+TEST(LightTree, MatchesLegacyReferenceTreeAndAdvice) {
+  const std::vector<DiffCase> cases = differential_cases();
+  ASSERT_GE(cases.size(), 40u);
+  for (const DiffCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const bench::legacy::NestedGraph nested(c.graph);
+    const std::vector<Edge> expected_tree = sorted_edges(
+        bench::legacy::tree_edges(
+            nested, bench::legacy::light_tree(nested, c.source)));
+    const LightTreeResult light = light_tree(c.graph, c.source);
+    EXPECT_EQ(sorted_edges(light.tree.edges(c.graph)), expected_tree);
+    EXPECT_EQ(LightBroadcastOracle().advise(c.graph, c.source),
+              bench::legacy::broadcast_advise(nested, c.source));
+  }
 }
 
 TEST(LightTree, RootChoiceDoesNotAffectContribution) {

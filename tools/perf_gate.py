@@ -77,6 +77,15 @@ def gate_csr(fresh_data, base_data, args):
         sys.exit("no (family, n) rows shared between fresh and baseline")
 
     failures = []
+    # Advice identity is machine-independent: every fresh row must report
+    # the legacy and production wakeup/broadcast advice bit-equal, shared
+    # with the baseline or not. A row without the bit counts as a failure.
+    for (family, n), row in sorted(fresh.items()):
+        if row.get("identical") is not True:
+            failures.append(
+                f"{family} n={n}: legacy vs production advice NOT "
+                f"identical (identical={row.get('identical')})")
+
     print(f"{'row':>22} | {'metric':>24} | {'base':>8} | {'fresh':>8}")
     for key in shared:
         family, n = key
