@@ -1248,7 +1248,7 @@ int run_service(int argc, char** argv) {
                       r.run.metrics.messages_total,
                       r.run.metrics.bits_sent,
                       r.run.metrics.deliveries,
-                      r.run.metrics.completion_key,
+                      static_cast<std::uint64_t>(r.run.metrics.completion_key),
                       static_cast<std::uint64_t>(r.run.informed_count())};
     }
   }

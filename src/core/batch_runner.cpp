@@ -460,6 +460,9 @@ std::vector<TaskReport> BatchRunner::run_impl(
     const std::vector<std::size_t>& members = family_work[u];
     const TrialSpec& proto = specs[members.front()];
     const AdvicePtr advice = prepared[members.front()].advice;
+    // Every shared lane reports the family's one advice vector.
+    const std::uint64_t oracle_bits = oracle_size_bits(*advice);
+    const std::uint64_t advice_bits_max = max_advice_bits(*advice);
     RunOptions base = proto.options;
     if (proto.algorithm->is_wakeup()) base.enforce_wakeup = true;
 
@@ -508,8 +511,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
           report.algorithm_name = specs[i].algorithm->name();
           report.advise_ns = prepared[i].advise_ns;
           report.advice_cached = prepared[i].cached;
-          report.oracle_bits = oracle_size_bits(*advice);
-          report.max_advice_bits = max_advice_bits(*advice);
+          report.oracle_bits = oracle_bits;
+          report.max_advice_bits = advice_bits_max;
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared

@@ -317,7 +317,7 @@ ServiceResponse AdviceService::handle_frame(const std::string& payload) {
         append_kv(out, "digest", ins.digest);
         append_kv(out, "nodes",
                   static_cast<std::uint64_t>(ins.graph->num_nodes()));
-        append_kv(out, "fresh", std::uint64_t{ins.fresh ? 1 : 0});
+        append_kv(out, "fresh", std::uint64_t{ins.fresh ? 1u : 0u});
         return ServiceResponse{kStatusOk, std::move(out)};
       } catch (const std::invalid_argument& e) {
         return error_response(std::string("bad network: ") + e.what());
@@ -472,7 +472,7 @@ void AdviceService::execute_batch(std::vector<Pending> batch) {
       append_kv(out, "algorithm", item.binding.algorithm->name());
       append_kv(out, "oracle_bits", oracle_size_bits(advice));
       append_kv(out, "max_advice_bits", max_advice_bits(advice));
-      append_kv(out, "cached", std::uint64_t{item.lookup.hit ? 1 : 0});
+      append_kv(out, "cached", std::uint64_t{item.lookup.hit ? 1u : 0u});
       append_kv(out, "advise_ns", item.lookup.advise_ns);
       append_kv(out, "nodes",
                 static_cast<std::uint64_t>(p.graph->num_nodes()));
@@ -504,7 +504,7 @@ void AdviceService::execute_batch(std::vector<Pending> batch) {
     append_kv(out, "oracle_bits", report.oracle_bits);
     append_kv(out, "max_advice_bits", report.max_advice_bits);
     append_kv(out, "advice_cached",
-              std::uint64_t{report.advice_cached ? 1 : 0});
+              std::uint64_t{report.advice_cached ? 1u : 0u});
     append_kv(out, "attempts", std::uint64_t{report.attempts});
     append_kv(out, "messages_total", report.run.metrics.messages_total);
     append_kv(out, "bits_sent", report.run.metrics.bits_sent);
@@ -517,7 +517,7 @@ void AdviceService::execute_batch(std::vector<Pending> batch) {
     append_kv(out, "nodes",
               static_cast<std::uint64_t>(p.graph->num_nodes()));
     append_kv(out, "all_informed",
-              std::uint64_t{report.run.all_informed ? 1 : 0});
+              std::uint64_t{report.run.all_informed ? 1u : 0u});
     if (!report.run.violation.empty()) {
       append_kv(out, "violation", report.run.violation);
     }

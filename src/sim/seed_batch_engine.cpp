@@ -1,6 +1,7 @@
 #include "sim/seed_batch_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -30,45 +31,6 @@ namespace {
   std::string s = "behavior exception: ";
   s += what;
   return s;
-}
-
-// Sift helpers for the per-class index heaps: identical ordering and hole
-// insertion to EventHeap, but over a bare Entry vector so a key class is
-// nothing more than its entries (the shared slot pool stores the events).
-void class_heap_push(std::vector<EventHeap::Entry>& h, EventHeap::Entry e) {
-  std::size_t i = h.size();
-  h.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!EventHeap::entry_before(e, h[parent])) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = e;
-}
-
-EventHeap::Entry class_heap_pop(std::vector<EventHeap::Entry>& h) {
-  const EventHeap::Entry top = h.front();
-  const EventHeap::Entry last = h.back();
-  h.pop_back();
-  const std::size_t size = h.size();
-  if (size > 0) {
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= size) break;
-      const std::size_t right = left + 1;
-      std::size_t best = left;
-      if (right < size && EventHeap::entry_before(h[right], h[left])) {
-        best = right;
-      }
-      if (!EventHeap::entry_before(h[best], last)) break;
-      h[i] = h[best];
-      i = best;
-    }
-    h[i] = last;
-  }
-  return top;
 }
 
 }  // namespace
@@ -195,26 +157,34 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   }
 
   // Counter-keyed seeded schedulers: group the surviving lanes into key
-  // classes by scheduler seed. Each class gets its own heap / clocks /
+  // classes by scheduler seed. Each class gets its own queue / clocks /
   // key-valued outputs; everything else in the pass is shared. The
   // seed-independent schedulers skip all of this (keyed_ stays false) and
-  // run the single-heap pass unchanged.
+  // run the single-queue pass unchanged.
   const SchedulerKind kind = base.scheduler;
   const bool link_fifo = kind == SchedulerKind::kAsyncLinkFifo;
   keyed_ = kind == SchedulerKind::kAsyncRandom || link_fifo;
+  active_classes_.clear();
   if (keyed_) {
     std::size_t used = 0;
     for (std::uint32_t l = 0; l < lanes.size(); ++l) {
       if (dispositions[l] != LaneDisposition::kShared) continue;
-      std::size_t ci = 0;
-      while (ci < used && classes_[ci].seed != lanes[l].seed) ++ci;
+      // An earlier lane with the same seed names the class (scanning the
+      // lanes, not the much larger KeyClass objects).
+      std::size_t ci = used;
+      for (std::uint32_t k = 0; k < l; ++k) {
+        if (lane_class_[k] != kNoClass && lanes[k].seed == lanes[l].seed) {
+          ci = lane_class_[k];
+          break;
+        }
+      }
       if (ci == used) {
         if (classes_.size() <= used) classes_.emplace_back();
         KeyClass& c = classes_[used];
         c.seed = lanes[l].seed;
         c.active = true;
         c.live = 0;
-        c.heap.clear();
+        c.queue.clear();
         c.now = 0;
         c.completion_key = 0;
         if (link_fifo) {
@@ -222,8 +192,10 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         } else {
           c.link_clock.clear();
         }
-        c.informed_at.assign(n, RunResult::kNeverInformed);
-        c.informed_at[source] = 0;
+        // Most classes retire at the first pop, so informed_at is filled
+        // only once the class survives it (arm_informed_at).
+        c.informed_at.clear();
+        active_classes_.push_back(static_cast<std::uint32_t>(used));
         ++used;
       }
       ++classes_[ci].live;
@@ -273,11 +245,15 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   events_.clear();
   std::uint64_t seq = 0;
   bool budget_hit = false;
-  // Keyed mode bypasses events_'s own heap (classes carry their own), so
-  // the pending count and its peak — the scalar engine's heap-size
+  // Keyed mode bypasses events_'s own queue (classes carry their own), so
+  // the pending count and its peak — the scalar engine's queue-size
   // trajectory — are tracked by hand.
   std::size_t pending = 0;
   std::size_t pending_peak = 0;
+  // Keyed mode defers the on_start sends' per-class keys to the first pop
+  // (start_batch_ records them unkeyed); see key_start_batch.
+  bool starting = true;
+  start_batch_.clear();
 
   const Endpoint* const csr = g.csr_endpoints();
 
@@ -292,6 +268,70 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       default:
         return now + 1;
     }
+  };
+
+  // Class c's delivery key for a message: c keys it with ITS OWN logical
+  // clock (c.now is the key its scalar replica would pass as `now`) and,
+  // under kAsyncLinkFifo, its own link clocks.
+  auto class_key = [&](KeyClass& c, std::uint64_t prekey,
+                       std::uint64_t link) {
+    ++stats_.class_keys;
+    std::int64_t key =
+        c.now + 1 +
+        static_cast<std::int64_t>(
+            Scheduler::counter_delay(c.seed, prekey, base.max_delay));
+    if (link_fifo) {
+      std::int64_t& clock = c.link_clock[link];
+      clock = (key > clock) ? key : clock + 1;
+      key = clock;
+    }
+    return key;
+  };
+
+  // Fills class c's informed_at (the clean-run prefix: only the source is
+  // informed before the first delivery).
+  auto arm_informed_at = [&](KeyClass& c) {
+    if (!c.informed_at.empty()) return;
+    c.informed_at.assign(n, RunResult::kNeverInformed);
+    c.informed_at[source] = 0;
+  };
+
+  // Keys the start batch for class c, in send order, into c's queue. With
+  // `top` (the driver's first delivery) it stops at the first entry that c
+  // orders before `top` and returns false: c's minimum is then not the
+  // driver's, so c would split at the first pop — and c pays only for the
+  // keys up to that entry. A class that agrees ends with exactly the queue
+  // eager keying would have built.
+  auto key_start_batch = [&](KeyClass& c, const EventQueue::Entry* top) {
+    const std::int64_t floor = c.now + 1;  // no key is smaller
+    std::int64_t below_top = std::numeric_limits<std::int64_t>::max();
+    std::int64_t top_key = 0;
+    bool past_top = top == nullptr;
+    for (const StartEntry& s : start_batch_) {
+      const std::int64_t key = class_key(c, s.prekey, s.link);
+      if (!past_top) {
+        if (s.seq == top->seq) {
+          // Earlier entries order before `top` on a key tie (lower seq).
+          if (below_top <= key) return false;
+          top_key = key;
+          past_top = true;
+        } else {
+          if (key == floor) return false;
+          if (key < below_top) below_top = key;
+        }
+      } else if (top != nullptr && key < top_key) {
+        return false;
+      }
+      c.queue.push({key, s.seq, s.slot});
+    }
+    return true;
+  };
+
+  // Drops classes that went inactive from active_classes_ (order kept, so
+  // the lowest-index active class still drives).
+  auto compact_active_classes = [&]() {
+    std::erase_if(active_classes_,
+                  [&](std::uint32_t ci) { return !classes_[ci].active; });
   };
 
   // Retires a whole key class (its delivery order split from the driver's,
@@ -355,7 +395,10 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
             --shared;
             if (keyed_) {
               KeyClass& c = classes_[lane_class_[l]];
-              if (--c.live == 0) c.active = false;
+              if (--c.live == 0) {
+                c.active = false;
+                compact_active_classes();
+              }
             }
             active_mask_lanes_[k] = active_mask_lanes_.back();
             active_mask_lanes_.pop_back();
@@ -375,23 +418,16 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         events_.push({delivery_key(now, seq), seq, slot});
       } else {
         // One seed-independent hash for the message, one mix per active
-        // class — the counter-keyed mirror of the fault mask above. Each
-        // class keys the message with ITS OWN logical clock (c.now is the
-        // key its scalar replica would pass as `now`).
+        // class — the counter-keyed mirror of the fault mask above. The
+        // start batch is only recorded here and keyed at the first pop.
         const std::uint64_t prekey = Scheduler::delivery_prekey(seq, link);
-        for (std::size_t ci = 0; ci < classes_.size(); ++ci) {
-          KeyClass& c = classes_[ci];
-          if (!c.active) continue;
-          std::int64_t key =
-              c.now + 1 +
-              static_cast<std::int64_t>(
-                  Scheduler::counter_delay(c.seed, prekey, base.max_delay));
-          if (link_fifo) {
-            std::int64_t& clock = c.link_clock[link];
-            clock = (key > clock) ? key : clock + 1;
-            key = clock;
+        if (starting) {
+          start_batch_.push_back({seq, prekey, link, slot});
+        } else {
+          for (const std::uint32_t ci : active_classes_) {
+            KeyClass& c = classes_[ci];
+            c.queue.push({class_key(c, prekey, link), seq, slot});
           }
-          class_heap_push(c.heap, {key, seq, slot});
         }
         ++pending;
         if (pending > pending_peak) pending_peak = pending;
@@ -426,6 +462,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
     if (!invoke_start(v)) break;
     submit(v, sends_, 0);
   }
+  starting = false;
 
   std::uint64_t processed = 0;
   bool events_exhausted = false;
@@ -444,26 +481,45 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       // The first active class drives: its minimum defines the delivery.
       // Every other class's minimum must name the same message, or that
       // class's key order has split from the shared stream and the whole
-      // class retires to scalar replay.
-      std::size_t di = 0;
-      while (di < classes_.size() && !classes_[di].active) ++di;
-      KeyClass& d = classes_[di];
-      top = class_heap_pop(d.heap);
+      // class retires to scalar replay. At the first pop the driver keys
+      // the whole start batch; every other class keys it only until it
+      // disagrees.
+      const bool first_pop = !start_batch_.empty();
+      KeyClass& d = classes_[active_classes_.front()];
+      if (first_pop) key_start_batch(d, nullptr);
+      top = d.queue.pop();
       d.now = top.key;
       if (top.key > d.completion_key) d.completion_key = top.key;
-      for (std::size_t ci = di + 1; ci < classes_.size(); ++ci) {
+      bool retired = false;
+      for (std::size_t k = 1; k < active_classes_.size(); ++k) {
+        const std::uint32_t ci = active_classes_[k];
         KeyClass& c = classes_[ci];
-        if (!c.active) continue;
-        if (c.heap.front().slot != top.slot) {
+        if (first_pop && !key_start_batch(c, &top)) {
           retire_class(ci);
+          retired = true;
           if (aborted) break;
           continue;
         }
-        const EventHeap::Entry e = class_heap_pop(c.heap);
+        // The popped entry is discarded either way: a retired class's
+        // queue is never read again.
+        const EventQueue::Entry e = c.queue.pop();
+        if (e.slot != top.slot) {
+          retire_class(ci);
+          retired = true;
+          if (aborted) break;
+          continue;
+        }
         c.now = e.key;
         if (e.key > c.completion_key) c.completion_key = e.key;
       }
+      if (retired) compact_active_classes();
       if (aborted) break;
+      if (first_pop) {
+        for (const std::uint32_t ci : active_classes_) {
+          arm_informed_at(classes_[ci]);
+        }
+        start_batch_.clear();
+      }
       --pending;
     }
     EngineEvent ev = std::move(events_.slot(top.slot));
@@ -483,8 +539,8 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       } else {
         // Every class delivered this event at its own key (c.now, set by
         // the pop above); the informed bit flips once, shared.
-        for (KeyClass& c : classes_) {
-          if (c.active) c.informed_at[ev.to] = c.now;
+        for (const std::uint32_t ci : active_classes_) {
+          classes_[ci].informed_at[ev.to] = classes_[ci].now;
         }
       }
     }
@@ -507,6 +563,10 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   result_.all_informed = (result_.informed_count() == n);
   result_.metrics.queue_depth_peak = keyed_ ? pending_peak : events_.peak();
   if (keyed_) {
+    // Classes still unarmed saw no pop at all.
+    for (const std::uint32_t ci : active_classes_) {
+      arm_informed_at(classes_[ci]);
+    }
     // Fill the shared plane with the first surviving class's view so the
     // returned reference is a valid result for SOME lane; per-lane readers
     // go through lane_result, which re-patches per class.

@@ -4,7 +4,7 @@
 // policies, tradeoff repeats) replays the same (graph, source, advice,
 // algorithm, options) spec with only RunOptions::seed / fault.seed varying.
 // ExecutionContext charges each of those R trials the full per-run price —
-// event-heap traffic, behavior arming, per-node bookkeeping — even though
+// event-queue traffic, behavior arming, per-node bookkeeping — even though
 // under the deterministic fault keying most lanes take *exactly the same
 // execution*. SeedBatchExecutionContext exploits that:
 //
@@ -19,9 +19,9 @@
 //    assign keys that are pure in
 //    (options.seed, seq, link), so `options.seed` becomes a lane axis too:
 //    lanes are grouped into KEY CLASSES by scheduler seed, each class
-//    carries its own tiny index heap (plus link clocks and key-valued
-//    outputs: completion_key, informed_at) over ONE shared slot pool and
-//    ONE shared behavior plane. Each pop, the driver class's minimum
+//    carries its own EventQueue of index entries (plus link clocks and
+//    key-valued outputs: completion_key, informed_at) over ONE shared slot
+//    pool and ONE shared behavior plane. Each pop, the driver class's minimum
 //    defines the delivery; every other class's minimum must name the same
 //    message or that whole class retires to scalar replay — classes share
 //    the pass exactly as long as their key orders agree, which they do
@@ -66,13 +66,20 @@
 // ~R/(1+D) — ~R× at fault rate 0 (the BENCH_perf_seedbatch gate rows) and
 // honestly degrading toward 1× as the per-message fault rate times the
 // message count approaches 1. The ratio is algorithmic (deduplication, not
-// parallelism), so it holds on any host. In keyed mode the pass also pays
-// one heap push/pop and one mix per ACTIVE KEY CLASS per message — free
-// when every lane shares one scheduler seed (the e13 regime), and still a
-// large win when classes are many but the pending set is shallow (each
-// class's heap is then trivially small); deep pending sets under many
-// classes decay gracefully toward scalar via order-disagreement
-// retirement.
+// parallelism), so it holds on any host. In keyed mode a class pays only
+// for the keys it computes before its first disagreement with the driver
+// (SeedBatchStats::class_keys counts them): one mix plus one queue
+// push/pop per message while it agrees. The on_start sends are recorded
+// unkeyed; at the first pop the driver keys the whole start batch, and
+// every other class keys it in send order only until the first entry its
+// own keys order before the driver's first delivery — the entry that
+// would have split it at that pop anyway. So a wide start batch (scheme B
+// sends one message per node) costs the retiring classes a few keys each
+// instead of n - 1, while a class that agrees pays the full batch. One
+// class (every lane shares the scheduler seed, the e13 regime) costs what
+// the scalar engine's own keying costs; many agreeing classes on a shallow
+// pending set cost one key each per message; deep pending sets under many
+// classes decay toward scalar via order-disagreement retirement.
 #pragma once
 
 #include <cstdint>
@@ -93,6 +100,9 @@ struct SeedBatchStats {
   std::uint32_t shared = 0;    ///< lanes served by the clean lockstep pass
   std::uint32_t replayed = 0;  ///< lanes needing a scalar replay
   std::uint64_t lockstep_events = 0;  ///< events the clean pass processed
+  /// Per-class delivery keys computed in keyed mode (one per class per
+  /// message it keyed) — the pass's scheduler work.
+  std::uint64_t class_keys = 0;
   bool lockstep_ran = false;  ///< false when the family was ineligible
 
   friend bool operator==(const SeedBatchStats&,
@@ -195,25 +205,39 @@ class SeedBatchExecutionContext {
   std::vector<std::uint32_t> active_mask_lanes_;
 
   /// One scheduler-seed class for the counter-keyed seeded schedulers: the
-  /// lanes sharing `seed`, a private index min-heap over the shared slot
+  /// lanes sharing `seed`, a private index queue over the shared slot
   /// pool, the class's logical clock / link clocks, and the key-valued
   /// result fields the classes disagree on. SoA keys per class — the SoA
-  /// storage the per-lane heaps collapse into.
+  /// storage the per-lane queues collapse into.
   struct KeyClass {
     std::uint64_t seed = 0;
     bool active = false;       ///< still agreeing with the driver's order
     std::uint32_t live = 0;    ///< kShared lanes still mapped to this class
-    std::vector<EventHeap::Entry> heap;
     std::int64_t now = 0;              ///< key of the class's last pop
     std::int64_t completion_key = 0;
     std::vector<std::int64_t> link_clock;   ///< kAsyncLinkFifo only
-    std::vector<std::int64_t> informed_at;  ///< per node
+    /// Per node; empty until the class survives its first pop.
+    std::vector<std::int64_t> informed_at;
+    EventQueue queue;  ///< last: its hot fields follow the class's own
   };
   static constexpr std::uint32_t kNoClass = ~0u;
 
   bool keyed_ = false;  ///< last pass used key classes
   std::vector<KeyClass> classes_;
   std::vector<std::uint32_t> lane_class_;  ///< lane -> class index / kNoClass
+  /// Indices of the active classes, ascending: front() drives. Per-message
+  /// loops walk this list, not every class.
+  std::vector<std::uint32_t> active_classes_;
+
+  /// One on_start send in keyed mode, recorded unkeyed: the classes key
+  /// the start batch at the first pop (run_lockstep's key_start_batch).
+  struct StartEntry {
+    std::uint64_t seq;
+    std::uint64_t prekey;  ///< Scheduler::delivery_prekey(seq, link)
+    std::uint64_t link;
+    std::size_t slot;
+  };
+  std::vector<StartEntry> start_batch_;
 
   std::string pool_algorithm_;
   std::size_t pool_count_ = 0;

@@ -34,6 +34,7 @@
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
 #include "sim/seed_batch_engine.h"
+#include "sim/trace_recorder.h"
 
 namespace oraclesize {
 namespace {
@@ -109,7 +110,9 @@ TEST(SeedBatchEngine, FuzzFortySeedsBitIdenticalAcrossMatrix) {
           // classes split from the driver's order and retire, but the
           // driver class itself always survives a fault-free pass.
           EXPECT_TRUE(stats.lockstep_ran);
-          if (rate == 0.0) EXPECT_GE(stats.shared, 1u);
+          if (rate == 0.0) {
+            EXPECT_GE(stats.shared, 1u);
+          }
         } else if (rate == 0.0) {
           // Fault-free family on a pure scheduler: one pass serves all.
           EXPECT_TRUE(stats.lockstep_ran);
@@ -201,6 +204,109 @@ TEST(SeedBatchEngine, KeyClassOrderSplitRetiresToScalarReplay) {
     options.seed = lanes[l].seed;
     EXPECT_EQ(got[l], scalar.run(g, 0, advice, *wakeup, options))
         << "lane " << l;
+  }
+}
+
+/// Records the send sequence number of every delivery, in order.
+class DeliveryOrder final : public TraceSink {
+ public:
+  void begin_run(const TraceRunInfo&) override { seqs.clear(); }
+  void record(const TraceEvent& e) override {
+    if (e.kind == TraceEventKind::kDeliver) seqs.push_back(e.seq);
+  }
+  void end_run(const RunResult&) override {}
+  std::vector<std::uint64_t> seqs;
+};
+
+/// Runs a fault-free scheduler-seed family through one lockstep pass and
+/// checks every disposition against its definition: a lane shares the
+/// pass iff its scalar run delivers in exactly the driver lane's (lane
+/// 0's) order, and a shared lane's result equals its scalar run.
+SeedBatchStats expect_dispositions_match_delivery_orders(
+    SeedBatchExecutionContext& batched, const PortGraph& g,
+    const std::vector<BitString>& advice, const Algorithm& algorithm,
+    const RunOptions& base, const std::vector<Lane>& lanes) {
+  std::vector<Disposition> dispositions;
+  batched.run_lockstep(g, 0, advice, algorithm, base, lanes, dispositions);
+  ExecutionContext scalar;
+  DeliveryOrder order;
+  std::vector<std::uint64_t> driver_order;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    RunOptions options = base;
+    options.seed = lanes[l].seed;
+    options.trace_sink = &order;
+    const RunResult want = scalar.run(g, 0, advice, algorithm, options);
+    if (l == 0) driver_order = order.seqs;
+    const bool shared = dispositions[l] == Disposition::kShared;
+    EXPECT_EQ(shared, order.seqs == driver_order)
+        << to_string(base.scheduler) << " lane " << l;
+    if (shared) {
+      EXPECT_EQ(batched.lane_result(l), want)
+          << to_string(base.scheduler) << " lane " << l;
+    }
+  }
+  return batched.last_stats();
+}
+
+TEST(SeedBatchEngine, KeyClassesKeyTheStartBatchOnlyUntilTheyDisagree) {
+  // Scheme B's start batch is one message per node, so eager keying would
+  // cost every class n - 1 keys before the first pop: >= 63 (n - 1) on
+  // this 64-lane family. Classes key it lazily instead, each only until
+  // its first entry that orders before the driver's first delivery. One
+  // context serves every family, so state a retired class leaves behind
+  // must not leak into the next family.
+  Rng rng(2024);
+  const std::size_t n = 512;
+  const PortGraph g =
+      make_random_connected(n, 8.0 / static_cast<double>(n), rng);
+  const LightBroadcastOracle oracle;
+  const std::vector<BitString> advice = oracle.advise(g, 0);
+  const Algorithm* scheme_b = algorithm_by_name("broadcast-B");
+  ASSERT_NE(scheme_b, nullptr);
+  SeedBatchExecutionContext batched;
+  std::vector<Lane> lanes;
+  for (std::size_t l = 0; l < 64; ++l) lanes.push_back({1 + 17 * l, 0});
+  for (const SchedulerKind sched :
+       {SchedulerKind::kAsyncLinkFifo, SchedulerKind::kAsyncRandom,
+        SchedulerKind::kAsyncLinkFifo}) {
+    RunOptions base;
+    base.scheduler = sched;
+    const SeedBatchStats stats = expect_dispositions_match_delivery_orders(
+        batched, g, advice, *scheme_b, base, lanes);
+    EXPECT_TRUE(stats.lockstep_ran) << to_string(sched);
+    EXPECT_GE(stats.shared, 1u) << to_string(sched);
+    EXPECT_LT(stats.class_keys, 8 * n) << to_string(sched);
+
+    // max_delay 1 gives every seed the same keys, so every class agrees
+    // with the driver on the wide start batch, ties and all, and all 64
+    // lanes share the pass.
+    base.max_delay = 1;
+    EXPECT_EQ(expect_dispositions_match_delivery_orders(
+                  batched, g, advice, *scheme_b, base, lanes)
+                  .shared,
+              64u)
+        << to_string(sched);
+  }
+
+  // One message in flight at a time: every class agrees at every pop, so
+  // a 64-lane scheduler-seed wakeup family still shares all 64 lanes.
+  const PortGraph path = make_path(64);
+  const TreeWakeupOracle wakeup_oracle;
+  const std::vector<BitString> path_advice = wakeup_oracle.advise(path, 0);
+  const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
+  ASSERT_NE(wakeup, nullptr);
+  lanes.clear();
+  for (std::size_t l = 0; l < 64; ++l) lanes.push_back({5 + 11 * l, 0});
+  for (const SchedulerKind sched :
+       {SchedulerKind::kAsyncRandom, SchedulerKind::kAsyncLinkFifo}) {
+    RunOptions base;
+    base.scheduler = sched;
+    base.enforce_wakeup = true;
+    EXPECT_EQ(expect_dispositions_match_delivery_orders(
+                  batched, path, path_advice, *wakeup, base, lanes)
+                  .shared,
+              64u)
+        << to_string(sched);
   }
 }
 

@@ -234,7 +234,9 @@ TEST(TraceRecorder, SendEventsCarryFaultCounterCoordinates) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) links += g.degree(v);
   for (const TraceEvent& e : t.events) {
     if (e.kind != TraceEventKind::kSend) continue;
-    if (!first) EXPECT_GT(e.seq, last_seq);
+    if (!first) {
+      EXPECT_GT(e.seq, last_seq);
+    }
     first = false;
     last_seq = e.seq;
     EXPECT_LT(e.link, links);
