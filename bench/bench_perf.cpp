@@ -3,7 +3,7 @@
 // These are throughput sanity checks, not paper results — the paper's
 // quantities are message counts and bit counts (bench_e1..e9).
 //
-// Three modes:
+// Five modes:
 //   bench_perf [google-benchmark flags]        microbenchmark suite
 //   bench_perf --sweep [--jobs N] [--json F] [--repeat N]
 //              [--no-advice-cache]             batched E1-style sweep via
@@ -32,20 +32,6 @@
 //                                              a report-identity check per
 //                                              lane
 //                                              -> BENCH_perf_schedbatch.json
-//   bench_perf --service [--clients N] [--requests N] [--smoke] [--jobs N]
-//              [--json F | --no-json]          load generator against an
-//                                              in-process oracled service:
-//                                              C client threads hammer a
-//                                              mixed advise/run traffic
-//                                              pattern over the socket, one
-//                                              pass unbounded and one under
-//                                              a tiny LRU budget; reports
-//                                              req/s, p50/p99 latency, cache
-//                                              hit rate, and checks every
-//                                              run response field-identical
-//                                              to a direct BatchRunner
-//                                              execution
-//                                              -> BENCH_perf_service.json
 //
 // With --repeat N >= 2 the sweep duplicates every (graph, oracle, source)
 // trial N times — the shape the advice cache is built for — runs the batch
@@ -63,16 +49,10 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench_common.h"
 #include "legacy_ref.h"
-#include "service/advice_service.h"
-#include "service/client.h"
-#include "graph/io.h"
 #include "core/broadcast_b.h"
 #include "core/census.h"
 #include "core/flooding.h"
@@ -1103,341 +1083,6 @@ int run_sched_batch(int argc, char** argv) {
   return all_identical ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// --service: the advice-service load generator.
-//
-// Spins up an in-process AdviceService on a throwaway unix socket and
-// hammers it with C client threads, each speaking the real wire protocol
-// through its own ServiceClient — the daemon path end to end, minus only
-// the process boundary. The traffic is a deterministic mixed pattern over
-// a small set of distinct (graph, task, source, scheduler) specs: mostly
-// run requests with advise requests interleaved, the same spec recurring
-// across clients so the advice cache sees the paper's regime (advice
-// computed once, reused per request).
-//
-// Two passes: "unbounded" (budget 0, the legacy cache) and "lru" (budget =
-// a quarter of the bytes the unbounded pass ended at, forcing eviction
-// churn). Each pass reports sustained requests/sec, p50/p99 request
-// latency, and the cache hit rate; tools/perf_gate.py gates the structural
-// facts (identity on every sampled run response, hits on the unbounded
-// pass, evictions on the LRU pass) and records the throughput numbers
-// without regression-gating them — they are wall-clock, machine-dependent.
-//
-// Identity check: every run response collected by every client is compared
-// field-for-field against the same spec executed directly on a
-// BatchRunner — the service may add queueing and caching around the
-// execution, never inside it.
-// ---------------------------------------------------------------------------
-
-int run_service(int argc, char** argv) {
-  using namespace oraclesize::service;
-
-  std::size_t clients = 4;
-  std::size_t requests = 0;  // 0 = mode default (300 full, 60 smoke)
-  std::size_t jobs = 1;
-  bool smoke = false;
-  std::string json_path = "BENCH_perf_service.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      clients = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::max<std::size_t>(1, std::stoull(argv[++i]));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json_path.clear();
-    } else {
-      std::cerr << "error: unknown option '" << argv[i]
-                << "' (service supports: --clients N, --requests N, --smoke, "
-                   "--jobs N, --json FILE, --no-json)\n";
-      return 2;
-    }
-  }
-  if (requests == 0) requests = smoke ? 60 : 300;
-
-  // The workload graphs and the deterministic request mix, shared by both
-  // passes and by the identity check.
-  Rng rng(0x5eedf00dULL);
-  std::vector<PortGraph> graphs;
-  if (smoke) {
-    graphs.push_back(make_grid(8, 8));
-    graphs.push_back(make_random_tree(64, rng));
-  } else {
-    graphs.push_back(make_grid(16, 16));
-    graphs.push_back(make_random_tree(256, rng));
-    graphs.push_back(make_random_connected(128, 8.0 / 128.0, rng));
-  }
-  struct Mix {
-    TaskRequest req;     // digest filled in per pass after upload
-    std::size_t graph;   // index into graphs
-    bool advise_only;
-  };
-  std::vector<Mix> mixes;
-  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-    for (const char* task : {"wakeup", "broadcast", "flooding"}) {
-      Mix advise;
-      advise.graph = gi;
-      advise.advise_only = true;
-      advise.req.task = task;
-      mixes.push_back(advise);
-      for (NodeId source : {NodeId{0}, NodeId{3}}) {
-        for (const char* scheduler : {"sync", "fifo"}) {
-          Mix run;
-          run.graph = gi;
-          run.advise_only = false;
-          run.req.task = task;
-          run.req.source = source;
-          run.req.scheduler = scheduler;
-          run.req.seed = 11;
-          mixes.push_back(run);
-        }
-      }
-    }
-  }
-
-  struct Row {
-    std::string pass;
-    std::uint64_t budget_bytes = 0;
-    std::uint64_t total_requests = 0;
-    std::uint64_t wall_ns = 0;
-    double rps = 0.0;
-    std::uint64_t p50_ns = 0;
-    std::uint64_t p99_ns = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    double hit_rate = 0.0;
-    std::uint64_t evictions = 0;
-    std::uint64_t cache_bytes = 0;
-    bool identical = true;
-  };
-
-  // Reference executions, one per distinct run spec (keyed by mix index,
-  // graph identity included): what the service MUST answer.
-  struct Reference {
-    std::string status;
-    std::uint64_t oracle_bits = 0;
-    std::uint64_t max_advice_bits = 0;
-    std::uint64_t messages_total = 0;
-    std::uint64_t bits_sent = 0;
-    std::uint64_t deliveries = 0;
-    std::uint64_t completion_key = 0;
-    std::uint64_t informed = 0;
-  };
-  std::vector<Reference> reference(mixes.size());
-  {
-    BatchRunner direct(1);
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-      if (mixes[m].advise_only) continue;
-      const TaskBinding binding = bind_task(mixes[m].req);
-      const auto reports = direct.run(
-          {TrialSpec(&graphs[mixes[m].graph], mixes[m].req.source,
-                     binding.oracle.get(), binding.algorithm,
-                     run_options_for(mixes[m].req))});
-      const TaskReport& r = reports.at(0);
-      if (r.failed()) {
-        std::cerr << "error: reference execution failed: " << r.error << "\n";
-        return 2;
-      }
-      reference[m] = {to_string(r.run.status),
-                      r.oracle_bits,
-                      r.max_advice_bits,
-                      r.run.metrics.messages_total,
-                      r.run.metrics.bits_sent,
-                      r.run.metrics.deliveries,
-                      static_cast<std::uint64_t>(r.run.metrics.completion_key),
-                      static_cast<std::uint64_t>(r.run.informed_count())};
-    }
-  }
-
-  // One pass: start a service, drive the mix from `clients` threads,
-  // measure, identity-check, drain.
-  std::uint64_t unbounded_bytes = 0;
-  const auto run_pass = [&](const std::string& name,
-                            std::uint64_t budget) -> Row {
-    Row row;
-    row.pass = name;
-    row.budget_bytes = budget;
-
-    char tmpl[] = "/tmp/oracled_bench_XXXXXX";
-    const char* dir = ::mkdtemp(tmpl);
-    if (dir == nullptr) {
-      std::cerr << "error: mkdtemp failed\n";
-      row.identical = false;
-      return row;
-    }
-    ServiceConfig config;
-    config.socket_path = std::string(dir) + "/s";
-    config.jobs = jobs;
-    config.cache_budget_bytes = budget;
-    config.queue_limit = 1024;
-    AdviceService service(config);
-    service.start();
-
-    // Upload every graph once; the mix then names them by digest.
-    std::vector<std::string> digests(graphs.size());
-    {
-      ServiceClient uploader(config.socket_path);
-      for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-        const auto reply = uploader.upload(to_text(graphs[gi]));
-        digests[gi] = reply.field("digest");
-      }
-    }
-    std::vector<Mix> pass_mixes = mixes;
-    for (Mix& m : pass_mixes) m.req.digest = digests[m.graph];
-
-    struct ClientResult {
-      std::vector<std::uint64_t> latencies_ns;
-      // (mix index, reply) for every run response, for the identity check.
-      std::vector<std::pair<std::size_t, ServiceClient::Reply>> runs;
-      bool failed = false;
-    };
-    std::vector<ClientResult> results(clients);
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::thread> pool;
-      for (std::size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&, c] {
-          ClientResult& out = results[c];
-          out.latencies_ns.reserve(requests);
-          try {
-            ServiceClient client(config.socket_path);
-            for (std::size_t i = 0; i < requests; ++i) {
-              // Deterministic per-client interleaving; every client walks
-              // the whole mix, phase-shifted so the cache sees concurrent
-              // reuse of the same keys.
-              const std::size_t m = (c * 7 + i) % pass_mixes.size();
-              const Mix& mix = pass_mixes[m];
-              const auto s0 = std::chrono::steady_clock::now();
-              const auto reply = mix.advise_only ? client.advise(mix.req)
-                                                 : client.run(mix.req);
-              out.latencies_ns.push_back(since_ns(s0));
-              if (reply.status == kStatusError) out.failed = true;
-              if (!mix.advise_only) out.runs.emplace_back(m, reply);
-            }
-          } catch (const std::exception&) {
-            out.failed = true;
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-    }
-    row.wall_ns = since_ns(t0);
-
-    const auto cache = service.cache_stats();
-    row.hits = cache.hits;
-    row.misses = cache.misses;
-    row.hit_rate = cache.hits + cache.misses > 0
-                       ? static_cast<double>(cache.hits) /
-                             static_cast<double>(cache.hits + cache.misses)
-                       : 0.0;
-    row.evictions = cache.evictions;
-    row.cache_bytes = cache.bytes;
-    service.shutdown();
-    service.wait();
-    ::rmdir(dir);
-
-    std::vector<std::uint64_t> latencies;
-    for (const ClientResult& r : results) {
-      if (r.failed) row.identical = false;
-      latencies.insert(latencies.end(), r.latencies_ns.begin(),
-                       r.latencies_ns.end());
-      for (const auto& [m, reply] : r.runs) {
-        const Reference& want = reference[m];
-        if (reply.field("status") != want.status ||
-            reply.field_u64("oracle_bits") != want.oracle_bits ||
-            reply.field_u64("max_advice_bits") != want.max_advice_bits ||
-            reply.field_u64("messages_total") != want.messages_total ||
-            reply.field_u64("bits_sent") != want.bits_sent ||
-            reply.field_u64("deliveries") != want.deliveries ||
-            reply.field_u64("completion_key") != want.completion_key ||
-            reply.field_u64("informed") != want.informed) {
-          row.identical = false;
-        }
-      }
-    }
-    std::sort(latencies.begin(), latencies.end());
-    row.total_requests = latencies.size();
-    if (!latencies.empty()) {
-      row.p50_ns = latencies[latencies.size() / 2];
-      row.p99_ns = latencies[std::min(latencies.size() - 1,
-                                      latencies.size() * 99 / 100)];
-    }
-    row.rps = row.wall_ns > 0 ? static_cast<double>(row.total_requests) *
-                                    1e9 / static_cast<double>(row.wall_ns)
-                              : 0.0;
-    return row;
-  };
-
-  std::vector<Row> rows;
-  rows.push_back(run_pass("unbounded", 0));
-  unbounded_bytes = rows.back().cache_bytes;
-  // A quarter of the steady-state footprint: plenty of reuse left, but the
-  // cache must evict continuously to stay under it.
-  rows.push_back(run_pass("lru", std::max<std::uint64_t>(
-                                     1, unbounded_bytes / 4)));
-
-  bool all_identical = true;
-  for (const Row& r : rows) all_identical = all_identical && r.identical;
-
-  Table t({"pass", "budget_kb", "requests", "req_per_s", "p50_us", "p99_us",
-           "hit_rate", "evictions", "identical"});
-  for (const Row& r : rows) {
-    t.row()
-        .cell(r.pass)
-        .cell(static_cast<double>(r.budget_bytes) / 1024.0, 1)
-        .cell(r.total_requests)
-        .cell(r.rps, 1)
-        .cell(static_cast<double>(r.p50_ns) / 1e3, 1)
-        .cell(static_cast<double>(r.p99_ns) / 1e3, 1)
-        .cell(r.hit_rate, 3)
-        .cell(r.evictions)
-        .cell(r.identical ? "yes" : "NO");
-  }
-  t.print(std::cout, "oracled load generator (" + std::to_string(clients) +
-                         " clients x " + std::to_string(requests) +
-                         " requests, jobs=" + std::to_string(jobs) + ")");
-  std::cout << "run-response identity service vs direct BatchRunner: "
-            << (all_identical ? "all responses identical" : "MISMATCH")
-            << "\n";
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << json_path << "\n";
-    } else {
-      out << "{\n  \"bench\": \"perf_service\",\n"
-          << "  \"clients\": " << clients
-          << ",\n  \"requests_per_client\": " << requests
-          << ",\n  \"jobs\": " << jobs
-          << ",\n  \"distinct_specs\": " << mixes.size()
-          << ",\n  \"rows\": [";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << (i == 0 ? "\n" : ",\n") << "    {\"pass\": \"" << r.pass
-            << "\", \"budget_bytes\": " << r.budget_bytes
-            << ", \"requests\": " << r.total_requests
-            << ", \"wall_ns\": " << r.wall_ns << ", \"rps\": " << r.rps
-            << ", \"p50_ns\": " << r.p50_ns << ", \"p99_ns\": " << r.p99_ns
-            << ", \"cache_hits\": " << r.hits
-            << ", \"cache_misses\": " << r.misses
-            << ", \"hit_rate\": " << r.hit_rate
-            << ", \"evictions\": " << r.evictions
-            << ", \"cache_bytes\": " << r.cache_bytes
-            << ", \"identical\": " << (r.identical ? "true" : "false")
-            << "}";
-      }
-      out << "\n  ]\n}\n";
-      std::cerr << "[bench] wrote " << rows.size() << " service rows to "
-                << json_path << "\n";
-    }
-  }
-  return all_identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1448,7 +1093,6 @@ int main(int argc, char** argv) {
   bool csr_compare = false;
   bool seed_batch = false;
   bool sched_batch = false;
-  bool service = false;
   for (int i = 0; i < argc; ++i) {
     if (i > 0 && std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
@@ -1458,14 +1102,11 @@ int main(int argc, char** argv) {
       seed_batch = true;
     } else if (i > 0 && std::strcmp(argv[i], "--sched-batch") == 0) {
       sched_batch = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--service") == 0) {
-      service = true;
     } else {
       rest.push_back(argv[i]);
     }
   }
   int rest_argc = static_cast<int>(rest.size());
-  if (service) return run_service(rest_argc, rest.data());
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
   if (csr_compare) return run_csr_compare(rest_argc, rest.data());

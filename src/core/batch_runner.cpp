@@ -29,7 +29,6 @@ SeedFamilyKey seed_family_key(const TrialSpec& spec) {
   key.max_messages = o.max_messages;
   key.enforce_wakeup = o.enforce_wakeup;
   key.anonymous = o.anonymous;
-  key.trace = o.trace;
   key.deadline_ns = o.deadline_ns;
   key.max_events = o.max_events;
   key.trace_sink = o.trace_sink;

@@ -94,7 +94,6 @@ struct SeedFamilyKey {
   std::uint64_t max_messages = 0;
   bool enforce_wakeup = false;
   bool anonymous = false;
-  bool trace = false;
   std::uint64_t deadline_ns = 0;
   std::uint64_t max_events = 0;
   const void* trace_sink = nullptr;
@@ -128,7 +127,7 @@ struct SeedFamilyKey {
  private:
   auto tie() const {
     return std::tie(graph, source, oracle, algorithm, advice, scheduler,
-                    max_delay, max_messages, enforce_wakeup, anonymous, trace,
+                    max_delay, max_messages, enforce_wakeup, anonymous,
                     deadline_ns, max_events, trace_sink, fault_drop,
                     fault_duplicate, fault_delay, fault_max_extra_delay,
                     fault_crash, fault_max_crash_key, fault_crash_source,

@@ -26,8 +26,9 @@
 // Identity contract: a run answered by the service is field-identical to
 // the same TrialSpec executed directly on a BatchRunner — the dispatcher
 // adds queueing and caching around the execution, never inside it.
-// bench_perf --service samples both sides and the perf_service gate pins
-// the comparison in CI.
+// tests/test_service.cpp checks it per request; perfbench's `service`
+// workload checks every reply under concurrent load with the LRU cache
+// below its working set.
 #pragma once
 
 #include <atomic>

@@ -1,11 +1,18 @@
 // The request surface of the advice service: which tasks it serves and how
 // a wire request becomes (oracle, algorithm, RunOptions).
 //
-// The catalog mirrors the CLI's task table exactly — same task names, same
-// oracle construction, same defaults — so a request answered by `oracled`
-// is field-identical to the same spec run through `oraclesize_cli run` or
-// a direct BatchRunner batch. bench_perf --service and the perf_service
-// gate enforce that identity.
+// The catalog follows the CLI's task table (tools/oraclesize_cli.cpp
+// select_task): the same task names, oracle classes, tree defaults and
+// scheduler names. It is not an exact mirror:
+//  * `run hybrid` on the CLI passes --seed as both the advised-set seed
+//    and the scheduler seed; the service takes a separate `oracle_seed`;
+//  * the service exposes only scheduler, seed and message-drop faults of
+//    the CLI's run options.
+// Nothing checks the catalog against the CLI. What is checked is that a
+// service reply equals a direct BatchRunner run of the same bind_task /
+// run_options_for binding: tests/test_service.cpp
+// (ServiceRoundTrip.RunMatchesDirectBatchRunner) and perfbench's `service`
+// workload, which checks every reply under concurrent load.
 #pragma once
 
 #include <cstdint>

@@ -63,7 +63,6 @@ struct RunOptions {
   std::uint64_t max_messages = 50'000'000;  ///< runaway-scheme safety valve
   bool enforce_wakeup = false;  ///< flag transmissions by uninformed nodes
   bool anonymous = false;       ///< hide id(v) from the algorithm (pass 0)
-  bool trace = false;           ///< record every transmission (tests only)
   /// Deterministic fault injection (sim/fault_plan.h). The default plan is
   /// disabled: the run takes the legacy reliable-network path bit for bit.
   FaultPlanParams fault;
@@ -80,9 +79,10 @@ struct RunOptions {
   std::uint64_t max_events = 0;
   /// Structured event tracing (sim/trace_recorder.h). Null = disabled —
   /// the hot path pays one branch per event group and allocates nothing.
-  /// Non-owning; the sink must outlive the run. Unlike `trace` (the legacy
-  /// SentRecord vector), a sink sees deliveries, fault decisions, and
-  /// node-state transitions, stamped with the fault plan's counter keys.
+  /// Non-owning; the sink must outlive the run. A sink sees every send,
+  /// delivery, fault decision, and node-state transition, stamped with the
+  /// fault plan's counter keys; sim/trace_analysis.h reads per-edge traffic
+  /// off the recorded stream.
   TraceSink* trace_sink = nullptr;
 };
 
@@ -96,7 +96,6 @@ struct RunResult {
   /// Empty when the run is clean; otherwise the first violation detected
   /// (wakeup constraint, invalid port, message budget).
   std::string violation;
-  std::vector<SentRecord> trace;  ///< only when RunOptions::trace
   std::vector<bool> terminated;   ///< per-node NodeBehavior::terminated()
   std::vector<std::uint64_t> outputs;  ///< per-node NodeBehavior::output()
   std::vector<std::uint64_t> sends_by_node;  ///< per-node message load

@@ -194,15 +194,6 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
   events_.clear();
   std::uint64_t seq = 0;
 
-  if (options.trace) {
-    // Clean runs of the paper's schemes send Theta(n) to Theta(m) messages;
-    // 2m + n covers flooding (2m - (n-1)) and everything sparser without
-    // letting the runaway budget drive a giant up-front allocation.
-    result.trace.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(options.max_messages,
-                                2 * g.num_edges() + n)));
-  }
-
   bool budget_hit = false;
 
   // On a frozen graph the CSR endpoint array is indexed by exactly the
@@ -282,10 +273,6 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
       }
       result.metrics.count_send(*wire);
       ++result.sends_by_node[v];
-      if (options.trace) {
-        result.trace.push_back(SentRecord{v, s.port, dst.node, wire->kind,
-                                          result.informed[v], now});
-      }
       if (sink) {
         TraceEvent e;
         e.kind = TraceEventKind::kSend;

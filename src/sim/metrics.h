@@ -3,24 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "graph/port_graph.h"
 #include "sim/message.h"
 
 namespace oraclesize {
-
-/// A record of one transmission (kept only when tracing is enabled).
-struct SentRecord {
-  NodeId from = kNoNode;
-  Port port = kNoPort;
-  NodeId to = kNoNode;
-  MsgKind kind = MsgKind::kControl;
-  bool sender_informed = false;  ///< was the sender informed when it sent?
-  std::int64_t sent_at = 0;      ///< scheduler key of the triggering event
-
-  friend bool operator==(const SentRecord&, const SentRecord&) = default;
-};
 
 struct Metrics {
   std::uint64_t messages_total = 0;

@@ -54,8 +54,8 @@ bool SeedBatchExecutionContext::lockstep_eligible(
   // Byzantine families are ineligible outright: the replay buffer evolves
   // with delivery order, so lanes can't share a clean-stream pass. They
   // route to scalar replay (fallback-not-divergence), never diverge.
-  return !base.trace && base.trace_sink == nullptr &&
-         base.deadline_ns == 0 && !base.adversary.enabled();
+  return base.trace_sink == nullptr && base.deadline_ns == 0 &&
+         !base.adversary.enabled();
 }
 
 void SeedBatchExecutionContext::arm_behaviors(std::size_t n,

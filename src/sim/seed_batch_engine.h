@@ -50,7 +50,7 @@
 // lanes, key classes whose delivery order split from the driver's, lanes
 // with a non-empty crash schedule or a materialized advice flip, or whole
 // families using features the pass doesn't honor (the adversarial
-// scheduler, trace sinks, legacy tracing, wall-clock deadlines) — are
+// scheduler, trace sinks, wall-clock deadlines) — are
 // REPLAYED on the scalar ExecutionContext, which is the definition of
 // correct.
 //
@@ -131,9 +131,9 @@ class SeedBatchExecutionContext {
   /// True when a family under `base` can take the lockstep pass at all:
   /// the scheduler must assign delivery keys as a pure per-message function
   /// — every scheduler but kAsyncAdversarial qualifies (the seeded ones
-  /// through counter-keyed delays). The run must not be observed (trace
-  /// sinks, legacy tracing) or race a wall clock (deadline_ns). Ineligible
-  /// families replay every lane.
+  /// through counter-keyed delays). The run must not be observed (a trace
+  /// sink) or race a wall clock (deadline_ns). Ineligible families replay
+  /// every lane.
   static bool lockstep_eligible(const RunOptions& base) noexcept;
 
   /// One lockstep pass over the clean stream. `base` carries the family's

@@ -11,6 +11,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/engine.h"
+#include "sim/trace_recorder.h"
 
 namespace oraclesize {
 namespace {
@@ -75,16 +76,22 @@ TEST(BatchRunner, MatchesSingleTrialEngine) {
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 99;
-  opts.trace = true;
+  TraceRecorder direct_trace(TraceLevel::kMessages);
+  opts.trace_sink = &direct_trace;
 
   const auto advice = oracle.advise(g, 5);
   const RunResult direct = run_execution(g, 5, advice, algorithm, opts);
+  ASSERT_FALSE(direct_trace.trace().events.empty());
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    TraceRecorder batch_trace(TraceLevel::kMessages);
+    opts.trace_sink = &batch_trace;
     const auto reports = BatchRunner(jobs).run(
         {TrialSpec{&g, 5, &oracle, &algorithm, opts}});
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].run, direct) << "jobs=" << jobs;
+    EXPECT_EQ(batch_trace.trace().events, direct_trace.trace().events)
+        << "jobs=" << jobs;
   }
 }
 

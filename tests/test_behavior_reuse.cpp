@@ -16,6 +16,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "sim/execution_context.h"
 #include "sim/history.h"
+#include "traced_run.h"
 
 namespace oraclesize {
 namespace {
@@ -60,21 +61,20 @@ TEST(BehaviorReuse, PooledRunsMatchFreshContexts) {
     RunOptions opts;
     opts.scheduler = sched;
     opts.seed = 17;
-    opts.trace = true;
 
     ExecutionContext pooled;
-    const RunResult ra = pooled.run(a, 0, advice_a, algorithm, opts);
-    const RunResult rb = pooled.run(b, 4, advice_b, algorithm, opts);
-    const RunResult rc = pooled.run(c, 0, advice_c, algorithm, opts);
+    const TracedRun ra = run_traced(pooled, a, 0, advice_a, algorithm, opts);
+    const TracedRun rb = run_traced(pooled, b, 4, advice_b, algorithm, opts);
+    const TracedRun rc = run_traced(pooled, c, 0, advice_c, algorithm, opts);
     // Run `a` again through the (now thrice-recycled) pool.
-    const RunResult ra2 = pooled.run(a, 0, advice_a, algorithm, opts);
+    const TracedRun ra2 = run_traced(pooled, a, 0, advice_a, algorithm, opts);
 
     ExecutionContext f1, f2, f3;
-    EXPECT_EQ(ra, f1.run(a, 0, advice_a, algorithm, opts))
+    EXPECT_EQ(ra, run_traced(f1, a, 0, advice_a, algorithm, opts))
         << to_string(sched);
-    EXPECT_EQ(rb, f2.run(b, 4, advice_b, algorithm, opts))
+    EXPECT_EQ(rb, run_traced(f2, b, 4, advice_b, algorithm, opts))
         << to_string(sched);
-    EXPECT_EQ(rc, f3.run(c, 0, advice_c, algorithm, opts))
+    EXPECT_EQ(rc, run_traced(f3, c, 0, advice_c, algorithm, opts))
         << to_string(sched);
     EXPECT_EQ(ra, ra2) << to_string(sched);
   }

@@ -16,6 +16,7 @@
 #include "graph/light_tree.h"
 #include "graph/subdivision.h"
 #include "oracle/light_broadcast_oracle.h"
+#include "sim/trace_analysis.h"
 
 namespace oraclesize {
 namespace {
@@ -108,15 +109,18 @@ TEST(BroadcastB, AllTrafficRidesTreeEdges) {
   std::set<std::pair<NodeId, NodeId>> tree_edges;
   for (const Edge& e : tree.edges(g)) tree_edges.insert({e.u, e.v});
 
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   opts.scheduler = SchedulerKind::kAsyncLifo;
   const TaskReport report =
       run_task(g, 6, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
   ASSERT_TRUE(report.ok());
-  for (const SentRecord& s : report.run.trace) {
-    const NodeId a = std::min(s.from, s.to);
-    const NodeId b = std::max(s.from, s.to);
+  const auto sends = send_events(recorder.trace().events);
+  EXPECT_EQ(sends.size(), report.run.metrics.messages_total);
+  for (const TraceEvent& s : sends) {
+    const NodeId a = std::min(s.node, s.peer);
+    const NodeId b = std::max(s.node, s.peer);
     EXPECT_TRUE(tree_edges.count({a, b}))
         << "non-tree traffic " << a << "-" << b;
   }
@@ -125,15 +129,17 @@ TEST(BroadcastB, AllTrafficRidesTreeEdges) {
 TEST(BroadcastB, HelloAtMostOncePerEdgeAndOneDirection) {
   Rng rng(204);
   const PortGraph g = make_random_connected(45, 0.2, rng);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const TaskReport report =
       run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
   ASSERT_TRUE(report.ok());
   std::set<std::pair<NodeId, NodeId>> hello_edges;
-  for (const SentRecord& s : report.run.trace) {
-    if (s.kind != MsgKind::kHello) continue;
-    const auto key = std::pair{std::min(s.from, s.to), std::max(s.from, s.to)};
+  for (const TraceEvent& s : send_events(recorder.trace().events)) {
+    if (s.msg != MsgKind::kHello) continue;
+    const auto key =
+        std::pair{std::min(s.node, s.peer), std::max(s.node, s.peer)};
     EXPECT_TRUE(hello_edges.insert(key).second)
         << "duplicate hello on " << key.first << "-" << key.second;
   }
@@ -142,38 +148,45 @@ TEST(BroadcastB, HelloAtMostOncePerEdgeAndOneDirection) {
 TEST(BroadcastB, SourceMessagePerEdgePerDirectionAtMostOnce) {
   Rng rng(205);
   const PortGraph g = make_random_connected(45, 0.25, rng);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   opts.scheduler = SchedulerKind::kAsyncLifo;
   const TaskReport report =
       run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
   ASSERT_TRUE(report.ok());
   std::set<std::pair<NodeId, NodeId>> directed;
-  for (const SentRecord& s : report.run.trace) {
-    if (s.kind != MsgKind::kSource) continue;
-    EXPECT_TRUE(directed.insert({s.from, s.to}).second)
-        << "M resent " << s.from << "->" << s.to;
+  for (const TraceEvent& s : send_events(recorder.trace().events)) {
+    if (s.msg != MsgKind::kSource) continue;
+    EXPECT_TRUE(directed.insert({s.node, s.peer}).second)
+        << "M resent " << s.node << "->" << s.peer;
   }
 }
 
 TEST(BroadcastB, AnonymousRunIsBitIdentical) {
   Rng rng(206);
   const PortGraph g = make_random_connected(35, 0.2, rng);
+  TraceRecorder named_trace(TraceLevel::kMessages);
+  TraceRecorder anon_trace(TraceLevel::kMessages);
   RunOptions named;
-  named.trace = true;
+  named.trace_sink = &named_trace;
   RunOptions anon = named;
   anon.anonymous = true;
+  anon.trace_sink = &anon_trace;
   const TaskReport a =
       run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), named);
   const TaskReport b =
       run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), anon);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].from, b.run.trace[i].from);
-    EXPECT_EQ(a.run.trace[i].port, b.run.trace[i].port);
-    EXPECT_EQ(a.run.trace[i].kind, b.run.trace[i].kind);
+  const auto sa = send_events(named_trace.trace().events);
+  const auto sb = send_events(anon_trace.trace().events);
+  ASSERT_EQ(sa.size(), a.run.metrics.messages_total);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].node, sb[i].node);
+    EXPECT_EQ(sa[i].port, sb[i].port);
+    EXPECT_EQ(sa[i].msg, sb[i].msg);
   }
 }
 

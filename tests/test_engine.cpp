@@ -5,6 +5,7 @@
 #include "graph/builders.h"
 #include "graph/complete_star.h"
 #include "graph/validate.h"
+#include "sim/trace_analysis.h"
 
 namespace oraclesize {
 namespace {
@@ -143,13 +144,17 @@ TEST(Engine, AsyncRandomIsSeedDeterministic) {
   RunOptions opts;
   opts.scheduler = SchedulerKind::kAsyncRandom;
   opts.seed = 1234;
-  opts.trace = true;
+  TraceRecorder recorder(TraceLevel::kMessages);
+  opts.trace_sink = &recorder;
   const RunResult a = run_execution(g, 0, no_advice(g), TestFlood(), opts);
+  const auto sa = send_events(recorder.trace().events);
   const RunResult b = run_execution(g, 0, no_advice(g), TestFlood(), opts);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].from, b.trace[i].from);
-    EXPECT_EQ(a.trace[i].port, b.trace[i].port);
+  const auto sb = send_events(recorder.trace().events);
+  ASSERT_EQ(sa.size(), a.metrics.messages_total);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].node, sb[i].node);
+    EXPECT_EQ(sa[i].port, sb[i].port);
   }
 }
 
@@ -178,14 +183,15 @@ TEST(Engine, SpontaneousControlTrafficDoesNotInform) {
   // Without wakeup enforcement, uninformed nodes may send; their messages
   // must not inform receivers (sender was not informed at send time).
   const PortGraph g = make_path(3);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const RunResult r =
       run_execution(g, 0, no_advice(g), TestFlood(/*spontaneous=*/true), opts);
   EXPECT_TRUE(r.all_informed);  // the real flood still completes
-  for (const SentRecord& s : r.trace) {
-    if (s.kind == MsgKind::kControl) {
-      EXPECT_FALSE(s.sender_informed);
+  for (const TraceEvent& s : send_events(recorder.trace().events)) {
+    if (s.msg == MsgKind::kControl) {
+      EXPECT_FALSE(s.flag);  // sender not informed at send time
     }
   }
 }
@@ -249,7 +255,6 @@ TEST(Engine, AnonymousModeHidesIds) {
   const PortGraph g = make_path(2);
   RunOptions opts;
   opts.anonymous = true;
-  opts.trace = true;
   const RunResult r = run_execution(g, 0, no_advice(g), IdLeak(), opts);
   EXPECT_EQ(r.metrics.bits_sent, 2u);  // payload 0 carries no bits
 }
@@ -277,14 +282,16 @@ TEST(Engine, SingleNodeNetworkIsTriviallyDone) {
 
 TEST(Engine, TraceRecordsEveryMessage) {
   const PortGraph g = make_star(6);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const RunResult r = run_execution(g, 0, no_advice(g), TestFlood(), opts);
-  EXPECT_EQ(r.trace.size(), r.metrics.messages_total);
-  for (const SentRecord& s : r.trace) {
-    EXPECT_LT(s.from, g.num_nodes());
-    EXPECT_LT(s.port, g.degree(s.from));
-    EXPECT_EQ(s.to, g.neighbor(s.from, s.port).node);
+  const auto sends = send_events(recorder.trace().events);
+  EXPECT_EQ(sends.size(), r.metrics.messages_total);
+  for (const TraceEvent& s : sends) {
+    EXPECT_LT(s.node, g.num_nodes());
+    EXPECT_LT(s.port, g.degree(s.node));
+    EXPECT_EQ(s.peer, g.neighbor(s.node, s.port).node);
   }
 }
 

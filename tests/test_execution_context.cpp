@@ -11,6 +11,7 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
+#include "traced_run.h"
 
 namespace oraclesize {
 namespace {
@@ -37,16 +38,15 @@ TEST(ExecutionContext, ReuseAcrossGraphsMatchesFreshContexts) {
     RunOptions opts;
     opts.scheduler = sched;
     opts.seed = 5;
-    opts.trace = true;
 
     ExecutionContext reused;
-    const RunResult ra = reused.run(a, 0, advice_a, algorithm, opts);
-    const RunResult rb = reused.run(b, 2, advice_b, algorithm, opts);
+    const TracedRun ra = run_traced(reused, a, 0, advice_a, algorithm, opts);
+    const TracedRun rb = run_traced(reused, b, 2, advice_b, algorithm, opts);
 
     ExecutionContext fresh_a, fresh_b;
-    EXPECT_EQ(ra, fresh_a.run(a, 0, advice_a, algorithm, opts))
+    EXPECT_EQ(ra, run_traced(fresh_a, a, 0, advice_a, algorithm, opts))
         << to_string(sched);
-    EXPECT_EQ(rb, fresh_b.run(b, 2, advice_b, algorithm, opts))
+    EXPECT_EQ(rb, run_traced(fresh_b, b, 2, advice_b, algorithm, opts))
         << to_string(sched);
   }
 }

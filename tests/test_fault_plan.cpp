@@ -23,6 +23,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 #include "oracle/trivial_oracles.h"
 #include "sim/execution_context.h"
+#include "traced_run.h"
 
 namespace oraclesize {
 namespace {
@@ -32,29 +33,24 @@ PortGraph fault_graph() {
   return make_random_connected(60, 0.12, rng);
 }
 
-RunOptions traced() {
-  RunOptions opts;
-  opts.trace = true;
-  return opts;
-}
-
 TEST(FaultPlan, ZeroPlanBitIdenticalToDefaultRun) {
   const PortGraph g = fault_graph();
   const TreeWakeupOracle oracle;
   const WakeupTreeAlgorithm algorithm;
   const auto advice = oracle.advise(g, 0);
 
-  RunOptions base = traced();
+  const RunOptions base;
   RunOptions zero = base;
   zero.fault.seed = 0xfeedface;  // a seed alone must not enable anything
   ASSERT_FALSE(zero.fault.enabled());
 
   ExecutionContext ctx;
-  const RunResult a = ctx.run(g, 0, advice, algorithm, base);
-  const RunResult b = ctx.run(g, 0, advice, algorithm, zero);
-  EXPECT_EQ(a, b);  // full field-by-field equality, trace included
-  EXPECT_EQ(a.status, RunStatus::kCompleted);
-  EXPECT_EQ(a.faults, FaultCounters{});
+  const TracedRun a = run_traced(ctx, g, 0, advice, algorithm, base);
+  const TracedRun b = run_traced(ctx, g, 0, advice, algorithm, zero);
+  EXPECT_EQ(a, b);  // full field-by-field equality, event stream included
+  EXPECT_FALSE(a.events.empty());
+  EXPECT_EQ(a.run.status, RunStatus::kCompleted);
+  EXPECT_EQ(a.run.faults, FaultCounters{});
 }
 
 TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
@@ -63,7 +59,7 @@ TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
   const FloodingAlgorithm algorithm;
   const auto advice = oracle.advise(g, 0);
 
-  RunOptions opts = traced();
+  RunOptions opts;
   opts.fault.seed = 99;
   opts.fault.drop = 0.1;
   opts.fault.duplicate = 0.1;
@@ -71,16 +67,18 @@ TEST(FaultPlan, SameSeedSamePlanIsBitIdentical) {
   opts.fault.crash = 0.1;
 
   ExecutionContext ctx1, ctx2;
-  const RunResult a = ctx1.run(g, 0, advice, algorithm, opts);
-  const RunResult b = ctx2.run(g, 0, advice, algorithm, opts);
+  const TracedRun a = run_traced(ctx1, g, 0, advice, algorithm, opts);
+  const TracedRun b = run_traced(ctx2, g, 0, advice, algorithm, opts);
   EXPECT_EQ(a, b);
   // A fresh context after unrelated runs must reproduce it too (pooled
   // state cannot leak into fault decisions).
-  ctx1.run(g, 3, advice, algorithm, traced());
-  const RunResult c = ctx1.run(g, 0, advice, algorithm, opts);
+  run_traced(ctx1, g, 3, advice, algorithm, RunOptions{});
+  const TracedRun c = run_traced(ctx1, g, 0, advice, algorithm, opts);
   EXPECT_EQ(a, c);
   // The regime actually exercised something.
-  EXPECT_GT(a.faults.dropped + a.faults.duplicated + a.faults.delayed, 0u);
+  EXPECT_GT(a.run.faults.dropped + a.run.faults.duplicated +
+                a.run.faults.delayed,
+            0u);
 }
 
 TEST(FaultPlan, ResultsIndependentOfJobsUnderFaults) {

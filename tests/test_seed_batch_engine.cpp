@@ -422,8 +422,10 @@ TEST(SeedBatchEngine, EligibilityGates) {
   // The online Lemma 2.1 scheduler's probe history is execution-dependent.
   base.scheduler = SchedulerKind::kAsyncAdversarial;
   EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
+  // An observed run (a trace sink attached) replays scalar.
   base = RunOptions{};
-  base.trace = true;
+  TraceRecorder recorder;
+  base.trace_sink = &recorder;
   EXPECT_FALSE(SeedBatchExecutionContext::lockstep_eligible(base));
   base = RunOptions{};
   base.deadline_ns = 1;
@@ -471,23 +473,29 @@ TEST(SeedBatchEngine, IneligibleFamilyReplaysEveryLane) {
   const NullOracle oracle;
   const std::vector<BitString> advice = oracle.advise(g, 0);
   const Algorithm* flooding = algorithm_by_name("flooding");
+  TraceRecorder batched_trace(TraceLevel::kMessages);
   RunOptions base;
-  base.trace = true;  // legacy tracing: an unsupported feature
+  base.trace_sink = &batched_trace;  // tracing: an unsupported feature
   std::vector<Lane> lanes = {{1, 0}, {2, 0}, {3, 0}};
   std::vector<Disposition> disp;
   SeedBatchExecutionContext batched;
   batched.run_lockstep(g, 0, advice, *flooding, base, lanes, disp);
   EXPECT_FALSE(batched.last_stats().lockstep_ran);
   EXPECT_EQ(batched.last_stats().replayed, 3u);
-  // Replays honor the unsupported feature: the recorded traces match.
+  // Replays honor the unsupported feature: the recorder keeps the last
+  // run, so it ends with the final lane's stream on either path.
   const std::vector<RunResult> got =
       batched.run(g, 0, advice, *flooding, base, lanes);
+  const std::vector<TraceEvent> replayed = batched_trace.take().events;
   ExecutionContext scalar;
-  RunOptions options = base;
-  options.seed = lanes[0].seed;
-  const RunResult want = scalar.run(g, 0, advice, *flooding, options);
-  EXPECT_FALSE(want.trace.empty());
-  EXPECT_EQ(got[0], want);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    RunOptions options = base;
+    options.seed = lanes[l].seed;
+    EXPECT_EQ(got[l], scalar.run(g, 0, advice, *flooding, options))
+        << "lane " << l;
+  }
+  EXPECT_FALSE(replayed.empty());
+  EXPECT_EQ(batched_trace.trace().events, replayed);
 }
 
 TEST(SeedBatchEngine, EmptyLanesAndPreconditionErrors) {

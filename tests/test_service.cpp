@@ -163,6 +163,26 @@ TEST(ServiceRoundTrip, PingUploadAdviseRunStats) {
   EXPECT_EQ(stats.field_u64("jobs"), 1u);
 }
 
+TEST(ServiceRoundTrip, RepeatRunsHitTheWarmAdvice) {
+  // With the unbounded cache, N runs of one spec advise once: N - 1 hits,
+  // a hit rate of (N - 1) / N.
+  ServiceFixture fx;
+  ServiceClient client(fx.socket_path());
+  TaskRequest req;
+  req.digest = upload_grid(client, 6, 6);
+  req.task = "broadcast";
+  constexpr std::uint64_t kRuns = 8;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    const auto ran = client.run(req);
+    ASSERT_TRUE(ran.ok()) << ran.body;
+  }
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.field_u64("cache_hits"), kRuns - 1);
+  EXPECT_EQ(stats.field_u64("cache_misses"), 1u);
+  EXPECT_EQ(stats.field_u64("cache_evictions"), 0u);
+}
+
 TEST(ServiceRoundTrip, RunMatchesDirectBatchRunner) {
   ServiceFixture fx;
   ServiceClient client(fx.socket_path());

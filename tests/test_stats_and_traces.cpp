@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/broadcast_b.h"
 #include "core/runner.h"
 #include "core/wakeup.h"
@@ -67,18 +69,20 @@ TEST(GraphStats, SingleNode) {
 TEST(TraceAnalysis, WakeupEdgeTrafficIsExactlyOneEachWay) {
   Rng rng(1001);
   const PortGraph g = make_random_connected(30, 0.2, rng);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const TaskReport r =
       run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), opts);
   ASSERT_TRUE(r.ok());
-  const auto per_edge = traffic_per_edge(r.run.trace);
+  const std::vector<TraceEvent>& events = recorder.trace().events;
+  const auto per_edge = traffic_per_edge(events);
   EXPECT_EQ(per_edge.size(), g.num_nodes() - 1);  // exactly the tree edges
   for (const auto& [edge, count] : per_edge) {
     EXPECT_EQ(count, 1u);  // parent -> child, once
   }
-  EXPECT_EQ(max_edge_traffic(r.run.trace), 1u);
-  EXPECT_EQ(uninformed_sends(r.run.trace), 0u);
+  EXPECT_EQ(max_edge_traffic(events), 1u);
+  EXPECT_EQ(uninformed_sends(events), 0u);
 }
 
 TEST(TraceAnalysis, BroadcastStaysWithinTreeAndBudgets) {
@@ -88,42 +92,94 @@ TEST(TraceAnalysis, BroadcastStaysWithinTreeAndBudgets) {
   std::set<EdgeKey> allowed;
   for (const Edge& e : tree.edges(g)) allowed.insert({e.u, e.v});
 
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   opts.scheduler = SchedulerKind::kAsyncLifo;
   const TaskReport r =
       run_task(g, 2, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(traffic_within(r.run.trace, allowed));
+  const std::vector<TraceEvent>& events = recorder.trace().events;
+  EXPECT_TRUE(traffic_within(events, allowed));
   // Hellos: at most once per edge; M: at most twice per edge.
-  for (const auto& [edge, count] :
-       traffic_per_edge(r.run.trace, MsgKind::kHello)) {
+  for (const auto& [edge, count] : traffic_per_edge(events, MsgKind::kHello)) {
     EXPECT_LE(count, 1u);
   }
   for (const auto& [edge, count] :
-       traffic_per_edge(r.run.trace, MsgKind::kSource)) {
+       traffic_per_edge(events, MsgKind::kSource)) {
     EXPECT_LE(count, 2u);
   }
   // Spontaneous hellos are exactly the uninformed sends.
-  EXPECT_GT(uninformed_sends(r.run.trace), 0u);
+  EXPECT_GT(uninformed_sends(events), 0u);
 }
 
 TEST(TraceAnalysis, DirectedCountsSumToTotal) {
   const PortGraph g = make_star(12);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const TaskReport r =
       run_task(g, 0, LightBroadcastOracle(), BroadcastBAlgorithm(), opts);
   ASSERT_TRUE(r.ok());
   std::uint64_t sum = 0;
-  for (const auto& [dir, count] : traffic_per_direction(r.run.trace)) {
+  for (const auto& [dir, count] :
+       traffic_per_direction(recorder.trace().events)) {
     sum += count;
   }
   EXPECT_EQ(sum, r.run.metrics.messages_total);
 }
 
+// The analysis reads kSend events only: dropped sends still count (the node
+// did transmit), every other event kind is ignored, and a trace file
+// analyzes exactly like the in-memory stream it was saved from.
+TEST(TraceAnalysis, FaultyFullTraceCountsSendsOnly) {
+  Rng rng(1003);
+  const PortGraph g = make_random_connected(40, 0.2, rng);
+  const auto advice = LightBroadcastOracle().advise(g, 0);
+  RunOptions opts;
+  opts.fault.seed = 7;
+  opts.fault.drop = 0.2;
+  TraceRecorder full(TraceLevel::kFull);
+  opts.trace_sink = &full;
+  const RunResult r =
+      run_execution(g, 0, advice, BroadcastBAlgorithm(), opts);
+  TraceRecorder messages(TraceLevel::kMessages);
+  opts.trace_sink = &messages;
+  ASSERT_EQ(run_execution(g, 0, advice, BroadcastBAlgorithm(), opts), r);
+  ASSERT_GT(r.faults.dropped, 0u);
+
+  const std::vector<TraceEvent>& events = full.trace().events;
+  std::set<TraceEventKind> kinds;
+  for (const TraceEvent& e : events) kinds.insert(e.kind);
+  for (TraceEventKind k :
+       {TraceEventKind::kDrop, TraceEventKind::kDeliver,
+        TraceEventKind::kInformed, TraceEventKind::kAdviceRead}) {
+    EXPECT_TRUE(kinds.count(k)) << to_string(k);
+  }
+
+  std::uint64_t sum = 0;
+  for (const auto& [dir, count] : traffic_per_direction(events)) sum += count;
+  EXPECT_EQ(sum, r.metrics.messages_total);
+
+  const auto expect_same_analysis = [&](const std::vector<TraceEvent>& other) {
+    EXPECT_EQ(send_events(other), send_events(events));
+    EXPECT_EQ(traffic_per_edge(other), traffic_per_edge(events));
+    EXPECT_EQ(traffic_per_edge(other, MsgKind::kHello),
+              traffic_per_edge(events, MsgKind::kHello));
+    EXPECT_EQ(traffic_per_direction(other), traffic_per_direction(events));
+    EXPECT_EQ(max_edge_traffic(other), max_edge_traffic(events));
+    EXPECT_EQ(uninformed_sends(other), uninformed_sends(events));
+  };
+  expect_same_analysis(messages.trace().events);
+
+  std::stringstream file;
+  save_trace(file, full.trace());
+  expect_same_analysis(load_trace(file).events);
+}
+
 TEST(TraceAnalysis, EmptyTrace) {
-  const std::vector<SentRecord> empty;
+  const std::vector<TraceEvent> empty;
+  EXPECT_TRUE(send_events(empty).empty());
   EXPECT_TRUE(traffic_per_edge(empty).empty());
   EXPECT_EQ(max_edge_traffic(empty), 0u);
   EXPECT_TRUE(traffic_within(empty, {}));

@@ -12,6 +12,7 @@
 #include "graph/complete_star.h"
 #include "graph/subdivision.h"
 #include "oracle/tree_wakeup_oracle.h"
+#include "sim/trace_analysis.h"
 #include "util/mathx.h"
 
 namespace oraclesize {
@@ -79,20 +80,26 @@ TEST(Wakeup, WorksAnonymously) {
   // change a single message.
   Rng rng(102);
   const PortGraph g = make_random_connected(40, 0.2, rng);
+  TraceRecorder named_trace(TraceLevel::kMessages);
+  TraceRecorder anon_trace(TraceLevel::kMessages);
   RunOptions named;
-  named.trace = true;
+  named.trace_sink = &named_trace;
   RunOptions anon = named;
   anon.anonymous = true;
+  anon.trace_sink = &anon_trace;
   const TaskReport a =
       run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), named);
   const TaskReport b =
       run_task(g, 0, TreeWakeupOracle(), WakeupTreeAlgorithm(), anon);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].from, b.run.trace[i].from);
-    EXPECT_EQ(a.run.trace[i].port, b.run.trace[i].port);
+  const auto sa = send_events(named_trace.trace().events);
+  const auto sb = send_events(anon_trace.trace().events);
+  ASSERT_EQ(sa.size(), a.run.metrics.messages_total);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].node, sb[i].node);
+    EXPECT_EQ(sa[i].port, sb[i].port);
   }
 }
 
@@ -135,16 +142,19 @@ TEST(Wakeup, TrafficFollowsTheTree) {
   Rng rng(104);
   const PortGraph g = make_random_connected(30, 0.3, rng);
   const SpanningTree tree = bfs_tree(g, 0);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const TaskReport report =
       run_task(g, 0, TreeWakeupOracle(TreeKind::kBfs), WakeupTreeAlgorithm(),
                opts);
   ASSERT_TRUE(report.ok());
-  for (const SentRecord& s : report.run.trace) {
+  const auto sends = send_events(recorder.trace().events);
+  EXPECT_EQ(sends.size(), g.num_nodes() - 1);
+  for (const TraceEvent& s : sends) {
     // Each message goes parent -> child along a tree edge.
-    const NodeId child = g.neighbor(s.from, s.port).node;
-    EXPECT_EQ(tree.parent(child), s.from);
+    const NodeId child = g.neighbor(s.node, s.port).node;
+    EXPECT_EQ(tree.parent(child), s.node);
   }
 }
 
@@ -152,13 +162,16 @@ TEST(Wakeup, SourceMessageNeverDuplicated) {
   // Each node receives M exactly once (n-1 messages, n-1 receivers).
   Rng rng(105);
   const PortGraph g = make_random_connected(45, 0.15, rng);
+  TraceRecorder recorder(TraceLevel::kMessages);
   RunOptions opts;
-  opts.trace = true;
+  opts.trace_sink = &recorder;
   const TaskReport report =
       run_task(g, 9, TreeWakeupOracle(), WakeupTreeAlgorithm(), opts);
   ASSERT_TRUE(report.ok());
   std::vector<int> received(g.num_nodes(), 0);
-  for (const SentRecord& s : report.run.trace) ++received[s.to];
+  for (const TraceEvent& s : send_events(recorder.trace().events)) {
+    ++received[s.peer];
+  }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_EQ(received[v], v == 9 ? 0 : 1);
   }

@@ -16,23 +16,6 @@ perf_csr  (bench_perf --csr-compare)
     --min-speedup on both advise tasks, and every row must keep a
     bytes-per-edge reduction of at least --min-mem-saved.
 
-perf_service  (bench_perf --service)
-    Gates the advice-service load generator on its machine-independent
-    facts only:
-     * "identical" — every run response any client collected was
-       field-for-field identical to the same spec executed directly on a
-       BatchRunner. A false on any pass is a correctness failure of the
-       service layer (queueing/caching leaked into execution) and always
-       gates.
-     * the unbounded pass must show a cache hit rate above
-       --min-service-hit-rate — repeated requests for the same spec have
-       to land on the warm advice artifact;
-     * the lru pass must show evictions > 0 — the byte budget must
-       actually bound the cache.
-    Throughput (rps) and latency percentiles are recorded in the JSON for
-    trend reading but NOT regression-gated: they are absolute wall-clock
-    numbers from whatever box ran the bench.
-
 perf_seedbatch  (bench_perf --seed-batch)
     Gates the seed-batched lockstep executor:
      * "identical" — the batched pass reproduced every lane's scalar
@@ -62,8 +45,7 @@ def load(path):
     with open(path) as fh:
         data = json.load(fh)
     if data.get("bench") not in ("perf_csr", "perf_seedbatch",
-                                 "perf_schedbatch", "perf_service",
-                                 "e16_byzantine"):
+                                 "perf_schedbatch", "e16_byzantine"):
         sys.exit(f"{path}: not a perf_gate-gated bench record "
                  f"(bench = {data.get('bench')!r})")
     return data
@@ -255,51 +237,6 @@ def gate_schedbatch(fresh_data, base_data, args):
     return failures
 
 
-def gate_service(fresh_data, base_data, args):
-    """Gates bench_perf --service (see the module docstring)."""
-    failures = []
-    fresh = {r["pass"]: r for r in fresh_data["rows"]}
-    base = {r["pass"]: r for r in base_data["rows"]}
-
-    print(f"{'pass':>10} | {'rps':>9} | {'p50_us':>8} | {'p99_us':>8} "
-          f"| {'hit_rate':>8} | {'evict':>6} | gate")
-    for name in sorted(fresh):
-        row = fresh[name]
-        verdicts = []
-        if not row.get("identical", False):
-            verdicts.append("IDENTITY")
-            failures.append(
-                f"{name}: service run responses NOT identical to the "
-                f"direct BatchRunner execution")
-        if name == "unbounded" and row["hit_rate"] < args.min_service_hit_rate:
-            verdicts.append("HITRATE")
-            failures.append(
-                f"{name}: cache hit rate {row['hit_rate']:.3f} below "
-                f"{args.min_service_hit_rate} — repeat requests are not "
-                f"landing on the warm advice artifact")
-        if name == "lru" and row["evictions"] == 0:
-            verdicts.append("NO-EVICT")
-            failures.append(
-                "lru: zero evictions under the reduced byte budget — the "
-                "budget is not bounding the cache")
-        print(f"{name:>10} | {row['rps']:9.1f} | {row['p50_ns'] / 1e3:8.1f} "
-              f"| {row['p99_ns'] / 1e3:8.1f} | {row['hit_rate']:8.3f} "
-              f"| {row['evictions']:6d} "
-              f"| {' '.join(verdicts) if verdicts else 'ok'}")
-
-    for name in ("unbounded", "lru"):
-        if name not in fresh:
-            failures.append(f"fresh record is missing the '{name}' pass")
-        if name not in base:
-            failures.append(f"baseline record is missing the '{name}' pass")
-
-    if not failures:
-        print(f"\nservice gate passed: identity + hit-rate + eviction "
-              f"checks on {len(fresh)} passes (throughput recorded, "
-              f"not gated)")
-    return failures
-
-
 def gate_e16(fresh_data, base_data, args):
     """Gates the Byzantine sweep (bench_e16_byzantine).
 
@@ -407,11 +344,6 @@ def main():
                     help="absolute scalar/batched speedup floor on rows the "
                          "bench flags floor=true — fault-free counter-keyed "
                          "families (perf_schedbatch only)")
-    ap.add_argument("--min-service-hit-rate", type=float, default=0.5,
-                    help="advice-cache hit-rate floor on the unbounded "
-                         "pass (perf_service only; the load pattern "
-                         "revisits every spec many times, so a healthy "
-                         "cache sits far above this)")
     ap.add_argument("--max-neutrality", type=float, default=1.30,
                     help="largest tolerated zeroed-params/untouched-options "
                          "wall-time ratio on the reliable matrix "
@@ -429,8 +361,6 @@ def main():
         failures = gate_seedbatch(fresh_data, base_data, args)
     elif fresh_data["bench"] == "perf_schedbatch":
         failures = gate_schedbatch(fresh_data, base_data, args)
-    elif fresh_data["bench"] == "perf_service":
-        failures = gate_service(fresh_data, base_data, args)
     elif fresh_data["bench"] == "e16_byzantine":
         failures = gate_e16(fresh_data, base_data, args)
     else:
