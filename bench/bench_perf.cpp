@@ -3,11 +3,8 @@
 // These are throughput sanity checks, not paper results — the paper's
 // quantities are message counts and bit counts (bench_e1..e9).
 //
-// Five modes:
+// Four modes:
 //   bench_perf [google-benchmark flags]        microbenchmark suite
-//   bench_perf --sweep [--jobs N] [--json F] [--repeat N]
-//              [--no-advice-cache]             batched E1-style sweep via
-//                                              BatchRunner, wall-clock timed
 //   bench_perf --csr-compare [--repeat N]
 //              [--json F | --no-json]          frozen-CSR layout vs the
 //                                              nested builder layout: advise
@@ -32,12 +29,6 @@
 //                                              a report-identity check per
 //                                              lane
 //                                              -> BENCH_perf_schedbatch.json
-//
-// With --repeat N >= 2 the sweep duplicates every (graph, oracle, source)
-// trial N times — the shape the advice cache is built for — runs the batch
-// once with the cache and once without, and writes the before/after wall
-// numbers per workload row into BENCH_perf_cache.json (see EXPERIMENTS.md
-// for the field definitions).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -149,197 +140,6 @@ std::uint64_t since_ns(std::chrono::steady_clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-}
-
-/// Per-(workload, task) aggregate across repeats of one batch pass.
-struct RowAgg {
-  std::uint64_t wall_ns = 0;    ///< sum of advise+run over the row's trials
-  std::uint64_t advise_ns = 0;  ///< sum of advise time actually paid
-  std::uint64_t run_ns = 0;     ///< sum of engine time (the steady state)
-};
-
-/// Aggregates reports laid out rep-major: trial index = rep * 2L + 2*load
-/// + task, for 2L rows.
-std::vector<RowAgg> aggregate_rows(const std::vector<TaskReport>& reports,
-                                   std::size_t num_rows) {
-  std::vector<RowAgg> rows(num_rows);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    RowAgg& row = rows[i % num_rows];
-    row.wall_ns += reports[i].wall_ns;
-    row.advise_ns += reports[i].advise_ns;
-    row.run_ns += reports[i].run_ns;
-  }
-  return rows;
-}
-
-// The batch sweep: every standard workload under wakeup and broadcast,
-// executed through BatchRunner so --jobs parallelism (and its determinism)
-// can be measured end to end. Prints per-row wall times and total
-// wall-clock; records go to BENCH_perf.json by default. With --repeat >= 2
-// an extra pass with the opposite advice-cache setting produces the
-// before/after comparison in BENCH_perf_cache.json.
-int run_sweep(int argc, char** argv) {
-  // Peel --repeat; the harness handles the shared flags (including
-  // --no-advice-cache).
-  std::size_t repeat = 1;
-  std::vector<char*> rest;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--repeat") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "error: missing value after --repeat\n";
-        return 2;
-      }
-      repeat = static_cast<std::size_t>(std::stoull(argv[++i]));
-      if (repeat == 0) repeat = 1;
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  bench::Harness harness("perf", static_cast<int>(rest.size()), rest.data());
-  const std::vector<bench::Workload> loads = bench::standard_workloads();
-  const TreeWakeupOracle tree_oracle;
-  const WakeupTreeAlgorithm wakeup;
-  const LightBroadcastOracle light_oracle;
-  const BroadcastBAlgorithm broadcast;
-
-  // Rep-major layout: the first repetition owns the advise cost, later
-  // repetitions are the cache's dedup targets.
-  std::vector<TrialSpec> specs;
-  specs.reserve(repeat * 2 * loads.size());
-  for (std::size_t rep = 0; rep < repeat; ++rep) {
-    for (const bench::Workload& w : loads) {
-      RunOptions wake_opts;
-      wake_opts.enforce_wakeup = true;
-      specs.push_back({&w.graph, 0, &tree_oracle, &wakeup, wake_opts});
-      RunOptions bcast_opts;
-      bcast_opts.scheduler = SchedulerKind::kAsyncRandom;
-      bcast_opts.seed = 9;
-      specs.push_back({&w.graph, 0, &light_oracle, &broadcast, bcast_opts});
-    }
-  }
-  const std::size_t num_rows = 2 * loads.size();
-
-  BatchStats stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<TaskReport> reports = harness.run(specs, &stats);
-  const std::uint64_t batch_ns = since_ns(t0);
-
-  Table t({"family", "n", "task", "messages", "advise_ms", "run_ms",
-           "wall_ms", "ok"});
-  std::uint64_t cpu_ns = 0;
-  const std::vector<RowAgg> rows = aggregate_rows(reports, num_rows);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const bench::Workload& w = loads[(i % num_rows) / 2];
-    const bool is_wakeup = (i % 2) == 0;
-    harness.record(bench::make_record(
-        w.family + (is_wakeup ? "/wakeup" : "/broadcast"), w.n,
-        is_wakeup ? SchedulerKind::kSynchronous
-                  : SchedulerKind::kAsyncRandom,
-        reports[i], w.build_ns, bench::bytes_per_edge(w.graph)));
-    cpu_ns += reports[i].wall_ns;
-  }
-  for (std::size_t row = 0; row < num_rows; ++row) {
-    const bench::Workload& w = loads[row / 2];
-    const bool is_wakeup = (row % 2) == 0;
-    const TaskReport& first = reports[row];  // rep 0 of this row
-    t.row()
-        .cell(w.family)
-        .cell(w.n)
-        .cell(is_wakeup ? "wakeup" : "broadcast")
-        .cell(first.run.metrics.messages_total)
-        .cell(static_cast<double>(rows[row].advise_ns) / 1e6, 3)
-        .cell(static_cast<double>(rows[row].run_ns) / 1e6, 3)
-        .cell(static_cast<double>(rows[row].wall_ns) / 1e6, 3)
-        .cell(first.ok() ? "yes" : "NO");
-  }
-  t.print(std::cout, "perf sweep: standard workloads through BatchRunner" +
-                         (repeat > 1 ? " (x" + std::to_string(repeat) +
-                                           " repeats, aggregated)"
-                                     : std::string{}));
-  std::cout << "jobs=" << harness.jobs() << "  trials=" << reports.size()
-            << "  advice cache " << (harness.advice_cache() ? "on" : "off")
-            << " (unique=" << stats.unique_advice
-            << ", hits=" << stats.cache_hits << ")  batch wall = "
-            << static_cast<double>(batch_ns) / 1e6
-            << " ms  (sum of per-trial cpu = "
-            << static_cast<double>(cpu_ns) / 1e6 << " ms)\n";
-
-  if (repeat < 2) return 0;
-
-  // Comparison pass with the opposite cache setting; orient before/after so
-  // "off" is always the baseline no matter which mode the main pass ran.
-  BatchStats other_stats;
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::vector<TaskReport> other_reports =
-      BatchRunner(harness.jobs(), !harness.advice_cache())
-          .run(specs, &other_stats);
-  const std::uint64_t other_batch_ns = since_ns(t1);
-
-  const bool main_is_on = harness.advice_cache();
-  const std::vector<RowAgg> other_rows = aggregate_rows(other_reports,
-                                                        num_rows);
-  const std::vector<RowAgg>& on_rows = main_is_on ? rows : other_rows;
-  const std::vector<RowAgg>& off_rows = main_is_on ? other_rows : rows;
-  const BatchStats& on_stats = main_is_on ? stats : other_stats;
-  const BatchStats& off_stats = main_is_on ? other_stats : stats;
-  const std::uint64_t on_batch_ns = main_is_on ? batch_ns : other_batch_ns;
-  const std::uint64_t off_batch_ns = main_is_on ? other_batch_ns : batch_ns;
-
-  const double total_speedup =
-      off_batch_ns > 0 && on_batch_ns > 0
-          ? static_cast<double>(off_batch_ns) /
-                static_cast<double>(on_batch_ns)
-          : 0.0;
-  std::cout << "advice-cache comparison: off = "
-            << static_cast<double>(off_batch_ns) / 1e6 << " ms, on = "
-            << static_cast<double>(on_batch_ns) / 1e6 << " ms ("
-            << total_speedup << "x batch)\n";
-
-  if (!harness.json_enabled()) return 0;
-  std::ofstream out("BENCH_perf_cache.json");
-  if (!out) {
-    std::cerr << "warning: cannot write BENCH_perf_cache.json\n";
-    return 0;
-  }
-  auto ratio = [](std::uint64_t num, std::uint64_t den) {
-    return den == 0 ? 0.0
-                    : static_cast<double>(num) / static_cast<double>(den);
-  };
-  out << "{\n  \"bench\": \"perf_cache\",\n"
-      << "  \"jobs\": " << harness.jobs() << ",\n"
-      << "  \"repeat\": " << repeat << ",\n"
-      << "  \"cache_on\": {\"batch_wall_ns\": " << on_batch_ns
-      << ", \"unique_advice\": " << on_stats.unique_advice
-      << ", \"cache_hits\": " << on_stats.cache_hits
-      << ", \"advise_ns\": " << on_stats.advise_ns << "},\n"
-      << "  \"cache_off\": {\"batch_wall_ns\": " << off_batch_ns
-      << ", \"unique_advice\": " << off_stats.unique_advice
-      << ", \"cache_hits\": " << off_stats.cache_hits
-      << ", \"advise_ns\": " << off_stats.advise_ns << "},\n"
-      << "  \"rows\": [";
-  for (std::size_t row = 0; row < num_rows; ++row) {
-    const bench::Workload& w = loads[row / 2];
-    const bool is_wakeup = (row % 2) == 0;
-    // wall_off_ns pays advise every repeat; wall_on_ns pays it once.
-    // run_on_ns is the steady-state marginal cost per batch of repeats —
-    // speedup_steady = wall_off / run_on is the amortized-regime ratio the
-    // cache targets (advise_once_ns keeps the one-time cost visible).
-    out << (row == 0 ? "\n" : ",\n") << "    {\"family\": \"" << w.family
-        << "\", \"task\": \"" << (is_wakeup ? "wakeup" : "broadcast")
-        << "\", \"n\": " << w.n << ", \"repeat\": " << repeat
-        << ", \"wall_off_ns\": " << off_rows[row].wall_ns
-        << ", \"wall_on_ns\": " << on_rows[row].wall_ns
-        << ", \"advise_once_ns\": " << on_rows[row].advise_ns
-        << ", \"run_on_ns\": " << on_rows[row].run_ns
-        << ", \"speedup_total\": "
-        << ratio(off_rows[row].wall_ns, on_rows[row].wall_ns)
-        << ", \"speedup_steady\": "
-        << ratio(off_rows[row].wall_ns, on_rows[row].run_ns) << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::cerr << "[bench] wrote cache comparison (" << num_rows
-            << " rows) to BENCH_perf_cache.json\n";
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1086,17 +886,14 @@ int run_sched_batch(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --sweep / --csr-compare; everything else goes to the matching
-  // mode's parser or to google-benchmark (default mode).
+  // Peel off the mode flag; everything else goes to the matching mode's
+  // parser or to google-benchmark (default mode).
   std::vector<char*> rest;
-  bool sweep = false;
   bool csr_compare = false;
   bool seed_batch = false;
   bool sched_batch = false;
   for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
-    } else if (i > 0 && std::strcmp(argv[i], "--csr-compare") == 0) {
+    if (i > 0 && std::strcmp(argv[i], "--csr-compare") == 0) {
       csr_compare = true;
     } else if (i > 0 && std::strcmp(argv[i], "--seed-batch") == 0) {
       seed_batch = true;
@@ -1110,7 +907,6 @@ int main(int argc, char** argv) {
   if (sched_batch) return run_sched_batch(rest_argc, rest.data());
   if (seed_batch) return run_seed_batch(rest_argc, rest.data());
   if (csr_compare) return run_csr_compare(rest_argc, rest.data());
-  if (sweep) return run_sweep(rest_argc, rest.data());
   benchmark::Initialize(&rest_argc, rest.data());
   if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
     return 1;

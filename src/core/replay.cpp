@@ -3,31 +3,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/broadcast_b.h"
-#include "core/census.h"
-#include "core/flooding.h"
-#include "core/gossip.h"
-#include "core/hybrid_wakeup.h"
-#include "core/wakeup.h"
+#include "core/task_registry.h"
 #include "graph/io.h"
 #include "sim/execution_context.h"
 
 namespace oraclesize {
 
 namespace {
-
-const Algorithm* const* algorithm_table(std::size_t& count) {
-  static const WakeupTreeAlgorithm wakeup;
-  static const BroadcastBAlgorithm broadcast;
-  static const FloodingAlgorithm flooding;
-  static const CensusAlgorithm census;
-  static const GossipTreeAlgorithm gossip;
-  static const HybridWakeupAlgorithm hybrid;
-  static const Algorithm* const table[] = {&wakeup, &broadcast, &flooding,
-                                           &census, &gossip,    &hybrid};
-  count = sizeof(table) / sizeof(table[0]);
-  return table;
-}
 
 /// Appends "label: a vs b" to out when the two values differ.
 template <typename T>
@@ -40,24 +22,6 @@ void note_if(std::vector<std::string>& out, const char* label, const T& a,
 }
 
 }  // namespace
-
-const Algorithm* algorithm_by_name(const std::string& name) {
-  std::size_t count = 0;
-  const Algorithm* const* table = algorithm_table(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (table[i]->name() == name) return table[i];
-  }
-  return nullptr;
-}
-
-std::vector<std::string> known_algorithms() {
-  std::size_t count = 0;
-  const Algorithm* const* table = algorithm_table(count);
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) names.push_back(table[i]->name());
-  return names;
-}
 
 TraceDiff diff_traces(const RecordedTrace& a, const RecordedTrace& b) {
   TraceDiff diff;

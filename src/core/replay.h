@@ -2,10 +2,10 @@
 //
 // A trace (sim/trace_recorder.h) is self-contained: it embeds the network,
 // the original advice, and the run configuration. Replay rebuilds all three,
-// resolves the algorithm by its recorded name, plays the run through a fresh
-// ExecutionContext with a fresh TraceRecorder attached, and compares the
-// re-recorded trace against the original — event stream, final RunStatus,
-// Metrics, and FaultCounters, all bit for bit.
+// resolves the algorithm by its recorded name (core/task_registry.h), plays
+// the run through a fresh ExecutionContext with a fresh TraceRecorder
+// attached, and compares the re-recorded trace against the original — event
+// stream, final RunStatus, Metrics, and FaultCounters, all bit for bit.
 //
 // This is the determinism contract made executable: if a code change (or a
 // different machine, worker count, or context-reuse history) alters ANY
@@ -21,15 +21,6 @@
 #include "sim/trace_recorder.h"
 
 namespace oraclesize {
-
-/// Looks up one of the built-in algorithms by Algorithm::name()
-/// ("wakeup-tree", "broadcast-B", "flooding", "census-echo", "gossip-tree",
-/// "hybrid-wakeup"). Returns a shared immutable instance, or nullptr for an
-/// unknown name. Instances are stateless and safe to use concurrently.
-const Algorithm* algorithm_by_name(const std::string& name);
-
-/// Names of every algorithm algorithm_by_name resolves, in registry order.
-std::vector<std::string> known_algorithms();
 
 /// The outcome of re-executing one trace.
 struct ReplayReport {

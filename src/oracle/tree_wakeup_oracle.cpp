@@ -1,6 +1,7 @@
 #include "oracle/tree_wakeup_oracle.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,14 @@ const char* to_string(TreeKind kind) {
       return "light";
   }
   return "unknown";
+}
+
+TreeKind tree_kind_by_name(const std::string& name) {
+  for (TreeKind kind :
+       {TreeKind::kBfs, TreeKind::kDfs, TreeKind::kKruskal, TreeKind::kLight}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown tree '" + name + "'");
 }
 
 SpanningTree build_tree(const PortGraph& g, NodeId root, TreeKind kind) {

@@ -20,6 +20,10 @@ enum class TreeKind { kBfs, kDfs, kKruskal, kLight };
 
 const char* to_string(TreeKind kind);
 
+/// Inverse of to_string(TreeKind); throws std::invalid_argument naming an
+/// unknown tree.
+TreeKind tree_kind_by_name(const std::string& name);
+
 /// Builds the requested tree for a given graph/root (shared helper).
 SpanningTree build_tree(const PortGraph& g, NodeId root, TreeKind kind);
 

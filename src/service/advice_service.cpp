@@ -503,8 +503,10 @@ void AdviceService::execute_batch(std::vector<Pending> batch) {
     append_kv(out, "algorithm", report.algorithm_name);
     append_kv(out, "oracle_bits", report.oracle_bits);
     append_kv(out, "max_advice_bits", report.max_advice_bits);
+    // The spec carries the cache-resolved advice, so BatchRunner always
+    // reports it as cached; whether it was is the lookup's verdict.
     append_kv(out, "advice_cached",
-              std::uint64_t{report.advice_cached ? 1u : 0u});
+              std::uint64_t{run_items[i]->lookup.hit ? 1u : 0u});
     append_kv(out, "attempts", std::uint64_t{report.attempts});
     append_kv(out, "messages_total", report.run.metrics.messages_total);
     append_kv(out, "bits_sent", report.run.metrics.bits_sent);

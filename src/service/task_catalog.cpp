@@ -2,10 +2,6 @@
 
 #include <stdexcept>
 
-#include "oracle/light_broadcast_oracle.h"
-#include "oracle/partial_tree_oracle.h"
-#include "oracle/tree_wakeup_oracle.h"
-#include "oracle/trivial_oracles.h"
 #include "service/protocol.h"
 
 namespace oraclesize::service {
@@ -31,24 +27,6 @@ double to_double(const std::string& s, const std::string& what) {
   } catch (const std::exception&) {
     throw std::invalid_argument("bad " + what + ": '" + s + "'");
   }
-}
-
-TreeKind parse_tree(const std::string& name) {
-  if (name == "bfs") return TreeKind::kBfs;
-  if (name == "dfs") return TreeKind::kDfs;
-  if (name == "kruskal") return TreeKind::kKruskal;
-  if (name == "light") return TreeKind::kLight;
-  throw std::invalid_argument("unknown tree '" + name + "'");
-}
-
-SchedulerKind parse_scheduler(const std::string& name) {
-  if (name == "sync") return SchedulerKind::kSynchronous;
-  if (name == "random") return SchedulerKind::kAsyncRandom;
-  if (name == "fifo") return SchedulerKind::kAsyncFifo;
-  if (name == "lifo") return SchedulerKind::kAsyncLifo;
-  if (name == "linkfifo") return SchedulerKind::kAsyncLinkFifo;
-  if (name == "adversarial") return SchedulerKind::kAsyncAdversarial;
-  throw std::invalid_argument("unknown scheduler '" + name + "'");
 }
 
 }  // namespace
@@ -111,41 +89,9 @@ std::string encode_task_request(const TaskRequest& req, bool run) {
   return body;
 }
 
-TaskBinding bind_task(const TaskRequest& req) {
-  TaskBinding binding;
-  std::string algorithm_name;
-  const bool tree_set = !req.tree.empty();
-  const TreeKind tree = tree_set ? parse_tree(req.tree) : TreeKind::kBfs;
-  if (req.task == "wakeup") {
-    algorithm_name = "wakeup-tree";
-    binding.oracle = std::make_unique<TreeWakeupOracle>(tree);
-  } else if (req.task == "census") {
-    algorithm_name = "census-echo";
-    binding.oracle = std::make_unique<TreeWakeupOracle>(tree);
-  } else if (req.task == "gossip") {
-    algorithm_name = "gossip-tree";
-    binding.oracle = std::make_unique<TreeWakeupOracle>(tree);
-  } else if (req.task == "broadcast") {
-    algorithm_name = "broadcast-B";
-    binding.oracle = std::make_unique<LightBroadcastOracle>(
-        tree_set ? tree : TreeKind::kLight);
-  } else if (req.task == "flooding") {
-    algorithm_name = "flooding";
-    binding.oracle = std::make_unique<NullOracle>();
-  } else if (req.task == "hybrid") {
-    algorithm_name = "hybrid-wakeup";
-    binding.oracle = std::make_unique<PartialTreeOracle>(
-        req.fraction, req.oracle_seed, tree);
-  } else {
-    throw std::invalid_argument("unknown task '" + req.task + "'");
-  }
-  binding.algorithm = algorithm_by_name(algorithm_name);
-  return binding;
-}
-
 RunOptions run_options_for(const TaskRequest& req) {
   RunOptions options;
-  options.scheduler = parse_scheduler(req.scheduler);
+  options.scheduler = scheduler_by_name(req.scheduler);
   options.seed = req.seed;
   options.fault.drop = req.fault_drop;
   options.fault.seed = req.fault_seed;

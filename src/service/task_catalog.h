@@ -1,15 +1,16 @@
-// The request surface of the advice service: which tasks it serves and how
-// a wire request becomes (oracle, algorithm, RunOptions).
+// The request surface of the advice service: how a wire request becomes
+// (oracle, algorithm, RunOptions).
 //
-// The catalog follows the CLI's task table (tools/oraclesize_cli.cpp
-// select_task): the same task names, oracle classes, tree defaults and
-// scheduler names. It is not an exact mirror:
-//  * `run hybrid` on the CLI passes --seed as both the advised-set seed
-//    and the scheduler seed; the service takes a separate `oracle_seed`;
+// The service and the CLI bind tasks through the same table,
+// core/task_registry.h: task names, oracle classes, tree defaults and
+// scheduler short names cannot drift apart. The two surfaces differ only
+// in how flags map onto a request:
+//  * `run hybrid` on the CLI maps --seed onto both the advised-set seed
+//    (TaskParams::oracle_seed) and the scheduler seed; the service takes
+//    `oracle_seed` and `seed` as separate fields;
 //  * the service exposes only scheduler, seed and message-drop faults of
 //    the CLI's run options.
-// Nothing checks the catalog against the CLI. What is checked is that a
-// service reply equals a direct BatchRunner run of the same bind_task /
+// A service reply equals a direct BatchRunner run of the same bind_task /
 // run_options_for binding: tests/test_service.cpp
 // (ServiceRoundTrip.RunMatchesDirectBatchRunner) and perfbench's `service`
 // workload, which checks every reply under concurrent load.
@@ -17,23 +18,19 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
-#include "core/replay.h"
-#include "oracle/oracle.h"
+#include "core/task_registry.h"
 #include "sim/engine.h"
 
 namespace oraclesize::service {
 
-/// One advise or run request, decoded. Field defaults match the CLI's.
-struct TaskRequest {
-  std::string digest;             ///< names an uploaded network
-  std::string task = "wakeup";    ///< wakeup|broadcast|flooding|census|gossip|hybrid
+/// One advise or run request, decoded: the registry's TaskParams (task,
+/// tree, fraction, oracle_seed) plus the network, source and run fields.
+/// Field defaults match the CLI's. bind_task(req) resolves the binding.
+struct TaskRequest : TaskParams {
+  std::string digest;  ///< names an uploaded network
   NodeId source = 0;
-  std::string tree;               ///< bfs|dfs|kruskal|light; "" = task default
-  double fraction = 0.5;          ///< hybrid: advised fraction
-  std::uint64_t oracle_seed = 1;  ///< hybrid: advised-set seed
   // Run-only fields (ignored by advise):
   std::string scheduler = "sync";
   std::uint64_t seed = 1;
@@ -45,14 +42,6 @@ struct TaskRequest {
   std::uint64_t deadline_ms = 0;
 };
 
-/// The (oracle, algorithm) pair a request denotes. The algorithm comes
-/// from the shared core/replay.h registry; the oracle is freshly built
-/// with a parameter-complete name, so equal requests share cache entries.
-struct TaskBinding {
-  std::unique_ptr<Oracle> oracle;
-  const Algorithm* algorithm = nullptr;
-};
-
 /// Decodes wire fields into a TaskRequest. Unknown keys are ignored;
 /// malformed values throw std::invalid_argument.
 TaskRequest parse_task_request(const std::map<std::string, std::string>& kv);
@@ -60,11 +49,8 @@ TaskRequest parse_task_request(const std::map<std::string, std::string>& kv);
 /// Encodes a request as wire fields (run=false omits the run-only fields).
 std::string encode_task_request(const TaskRequest& req, bool run);
 
-/// Builds the oracle and resolves the algorithm. Throws
-/// std::invalid_argument on an unknown task or tree name.
-TaskBinding bind_task(const TaskRequest& req);
-
-/// Engine options for a run request: scheduler, seed, fault plan. Wakeup
+/// Engine options for a run request: scheduler, seed, fault plan. Throws
+/// std::invalid_argument on an unknown scheduler name. Wakeup
 /// enforcement is NOT set here — BatchRunner switches it on from
 /// Algorithm::is_wakeup(), exactly as the direct path does.
 RunOptions run_options_for(const TaskRequest& req);

@@ -1,5 +1,7 @@
 #include "sim/adversary_plan.h"
 
+#include <stdexcept>
+
 #include "util/rng.h"
 
 namespace oraclesize {
@@ -33,6 +35,15 @@ const char* to_string(ByzantineStrategy strategy) {
       return "structured-lie";
   }
   return "unknown";
+}
+
+ByzantineStrategy byzantine_strategy_by_name(const std::string& name) {
+  for (ByzantineStrategy strategy :
+       {ByzantineStrategy::kRandomBits, ByzantineStrategy::kReplay,
+        ByzantineStrategy::kStructuredLie}) {
+    if (name == to_string(strategy)) return strategy;
+  }
+  throw std::invalid_argument("unknown byzantine strategy '" + name + "'");
 }
 
 void AdversaryPlan::arm(const AdversaryPlanParams& params,

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/port_graph.h"
@@ -62,6 +63,10 @@ enum class ByzantineStrategy : std::uint8_t {
 };
 
 const char* to_string(ByzantineStrategy strategy);
+
+/// Inverse of to_string(ByzantineStrategy); throws std::invalid_argument
+/// naming an unknown strategy.
+ByzantineStrategy byzantine_strategy_by_name(const std::string& name);
 
 /// The (seed, colluding set, lie mechanism) tuple describing one Byzantine
 /// regime. The zero plan (no rate, no node count) is the honest network.

@@ -72,14 +72,6 @@ SchedulerKind scheduler_from_string(const std::string& s, std::size_t line) {
   parse_fail(line, "unknown scheduler '" + s + "'");
 }
 
-ByzantineStrategy strategy_from_string(const std::string& s,
-                                       std::size_t line) {
-  if (s == "random-bits") return ByzantineStrategy::kRandomBits;
-  if (s == "replay") return ByzantineStrategy::kReplay;
-  if (s == "structured-lie") return ByzantineStrategy::kStructuredLie;
-  parse_fail(line, "unknown byzantine strategy '" + s + "'");
-}
-
 TraceEventKind event_kind_from_string(const std::string& s,
                                       std::size_t line) {
   if (s == "send") return TraceEventKind::kSend;
@@ -396,8 +388,12 @@ RecordedTrace load_trace(std::istream& is) {
       a.byz_nodes =
           static_cast<std::uint32_t>(tok_u64(in, lineno, "byz_nodes"));
       a.byz_source = tok_u64(in, lineno, "byz_source") != 0;
-      a.strategy =
-          strategy_from_string(tok_word(in, lineno, "strategy"), lineno);
+      try {
+        a.strategy =
+            byzantine_strategy_by_name(tok_word(in, lineno, "strategy"));
+      } catch (const std::invalid_argument& e) {
+        parse_fail(lineno, e.what());
+      }
       a.forge = tok_double(in, lineno, "forge");
       a.equivocate = tok_double(in, lineno, "equivocate");
       a.advice_lie = tok_double(in, lineno, "advice_lie");

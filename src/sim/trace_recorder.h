@@ -87,7 +87,7 @@ std::string to_string(const TraceEvent& event);
 /// carried: it is the one machine-dependent RunOptions knob, and replay
 /// only promises bit-identity for deterministic runs.
 struct TraceHeader {
-  std::string algorithm;  ///< Algorithm::name(), resolved by core/replay.h
+  std::string algorithm;  ///< Algorithm::name() (core/task_registry.h)
   std::string oracle;     ///< informational; empty when unknown
   NodeId source = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;

@@ -55,6 +55,30 @@ if "$CLI" gen bogus 5 >/dev/null 2>&1; then
   fail "unknown family accepted"
 fi
 
+# Every name the task registry resolves: an unknown one is a usage error
+# (exit 2), not a task result.
+for bad in "run teleport" "run wakeup --tree prim" \
+    "run wakeup --scheduler async-random" \
+    "run broadcast --byz-strategy lies --byz-rate 0.1" "advise oracle"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$CLI" $bad < "$TMP/net.txt" >/dev/null 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || fail "'$bad' should exit 2 (got $rc)"
+done
+
+# The CLI maps --seed onto hybrid's advised-set seed: `run hybrid` reads the
+# oracle that `advise partial` prints under the same flags.
+run_oracle="$("$CLI" run hybrid --seed 3 < "$TMP/net.txt" \
+  | sed -n 's/^source 0: hybrid-wakeup + \(.*\): ok,.*/\1/p')"
+advise_oracle="$("$CLI" advise partial --seed 3 < "$TMP/net.txt" \
+  | sed -n 's/^# \(.*\) on .*/\1/p')"
+[ -n "$run_oracle" ] && [ "$run_oracle" = "$advise_oracle" ] \
+  || fail "hybrid oracle '$run_oracle' != advised '$advise_oracle'"
+[ "$run_oracle" = "partial-tree(0.5,bfs,seed=3)" ] \
+  || fail "hybrid oracle ignores --seed ($run_oracle)"
+
 "$CLI" gen torus 5 5 | "$CLI" stats | grep -q "diameter" || fail "stats"
 
 # Fault-injection flags. Rate 0 is the reliable network and must stay ok.

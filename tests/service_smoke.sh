@@ -49,6 +49,16 @@ grep -q '^status=completed$' "$TMP/run1.txt" || fail "run status"
   || fail "repeat run"
 grep -q '^advice_cached=1$' "$TMP/run2.txt" || fail "repeat run not cached"
 
+# An oracle that was never advised misses the cache on its first run.
+# (census would hit: it reads wakeup's tree oracle, whose advice is warm.)
+"$CTL" --socket "$SOCK" run broadcast --digest "$D" > "$TMP/run3.txt" \
+  || fail "run broadcast"
+grep -q '^advice_cached=0$' "$TMP/run3.txt" || fail "fresh run claims cached"
+"$CTL" --socket "$SOCK" run broadcast --digest "$D" > "$TMP/run4.txt" \
+  || fail "repeat run broadcast"
+grep -q '^advice_cached=1$' "$TMP/run4.txt" \
+  || fail "repeat broadcast not cached"
+
 # Exit 1: a task failure is a reportable result, not an error.
 set +e
 "$CTL" --socket "$SOCK" run flooding --digest "$D" --fault-rate 1 \

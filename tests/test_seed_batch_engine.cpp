@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/batch_runner.h"
-#include "core/replay.h"
+#include "core/task_registry.h"
 #include "graph/builders.h"
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/partial_tree_oracle.h"

@@ -165,7 +165,8 @@ TEST(ServiceRoundTrip, PingUploadAdviseRunStats) {
 
 TEST(ServiceRoundTrip, RepeatRunsHitTheWarmAdvice) {
   // With the unbounded cache, N runs of one spec advise once: N - 1 hits,
-  // a hit rate of (N - 1) / N.
+  // a hit rate of (N - 1) / N. Each reply's advice_cached says whether its
+  // own lookup hit: 0 for the first run of the fresh spec, 1 afterwards.
   ServiceFixture fx;
   ServiceClient client(fx.socket_path());
   TaskRequest req;
@@ -175,6 +176,7 @@ TEST(ServiceRoundTrip, RepeatRunsHitTheWarmAdvice) {
   for (std::uint64_t i = 0; i < kRuns; ++i) {
     const auto ran = client.run(req);
     ASSERT_TRUE(ran.ok()) << ran.body;
+    EXPECT_EQ(ran.field_u64("advice_cached"), i == 0 ? 0u : 1u) << i;
   }
   const auto stats = client.stats();
   ASSERT_TRUE(stats.ok());

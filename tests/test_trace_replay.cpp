@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "core/replay.h"
+#include "core/task_registry.h"
 #include "core/runner.h"
 #include "graph/builders.h"
 #include "oracle/light_broadcast_oracle.h"

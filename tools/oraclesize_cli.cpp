@@ -80,9 +80,9 @@
 #include "core/batch_runner.h"
 #include "core/replay.h"
 #include "core/runner.h"
+#include "core/task_registry.h"
 #include "sim/trace_recorder.h"
 #include "oracle/advice_io.h"
-#include "oracle/partial_tree_oracle.h"
 #include "graph/builders.h"
 #include "graph/clique_replace.h"
 #include "graph/complete_star.h"
@@ -94,9 +94,6 @@
 #include "lowerbound/bounds.h"
 #include "lowerbound/counting_adversary.h"
 #include "lowerbound/strategies.h"
-#include "oracle/light_broadcast_oracle.h"
-#include "oracle/tree_wakeup_oracle.h"
-#include "oracle/trivial_oracles.h"
 
 namespace {
 
@@ -161,8 +158,7 @@ struct Options {
   NodeId source = 0;
   NodeId root = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  TreeKind tree = TreeKind::kBfs;
-  bool tree_set = false;
+  std::string tree;  ///< a TreeKind name; "" = the task's default
   bool anonymous = false;
   double fraction = 0.5;
   std::string advice_file;
@@ -236,16 +232,7 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
     } else if (a == "--byz-seed") {
       opts.byz_seed = parse_u64(next(), "--byz-seed");
     } else if (a == "--byz-strategy") {
-      const std::string v = next();
-      if (v == "random-bits") {
-        opts.byz_strategy = ByzantineStrategy::kRandomBits;
-      } else if (v == "replay") {
-        opts.byz_strategy = ByzantineStrategy::kReplay;
-      } else if (v == "structured-lie") {
-        opts.byz_strategy = ByzantineStrategy::kStructuredLie;
-      } else {
-        usage("unknown byzantine strategy '" + v + "'");
-      }
+      opts.byz_strategy = byzantine_strategy_by_name(next());
     } else if (a == "--trace-file") {
       opts.trace_file = next();
     } else if (a == "--trace-level") {
@@ -258,36 +245,10 @@ std::vector<std::string> extract_options(std::vector<std::string> args,
         usage("unknown trace level '" + v + "'");
       }
     } else if (a == "--scheduler") {
-      const std::string v = next();
-      if (v == "sync") {
-        opts.scheduler = SchedulerKind::kSynchronous;
-      } else if (v == "random") {
-        opts.scheduler = SchedulerKind::kAsyncRandom;
-      } else if (v == "fifo") {
-        opts.scheduler = SchedulerKind::kAsyncFifo;
-      } else if (v == "lifo") {
-        opts.scheduler = SchedulerKind::kAsyncLifo;
-      } else if (v == "linkfifo") {
-        opts.scheduler = SchedulerKind::kAsyncLinkFifo;
-      } else if (v == "adversarial") {
-        opts.scheduler = SchedulerKind::kAsyncAdversarial;
-      } else {
-        usage("unknown scheduler '" + v + "'");
-      }
+      opts.scheduler = scheduler_by_name(next());
     } else if (a == "--tree") {
-      const std::string v = next();
-      opts.tree_set = true;
-      if (v == "bfs") {
-        opts.tree = TreeKind::kBfs;
-      } else if (v == "dfs") {
-        opts.tree = TreeKind::kDfs;
-      } else if (v == "kruskal") {
-        opts.tree = TreeKind::kKruskal;
-      } else if (v == "light") {
-        opts.tree = TreeKind::kLight;
-      } else {
-        usage("unknown tree '" + v + "'");
-      }
+      opts.tree = next();
+      tree_kind_by_name(opts.tree);  // an unknown name fails here
     } else if (a.rfind("--", 0) == 0) {
       usage("unknown option '" + a + "'");
     } else {
@@ -367,44 +328,6 @@ int cmd_gen(const std::vector<std::string>& args, const Options& opts) {
   return 0;
 }
 
-/// The (algorithm, oracle) pair a task name denotes. Algorithms come from
-/// the shared core/replay.h registry — the same one `trace replay` resolves
-/// recorded names against.
-struct TaskSelection {
-  const Algorithm* algorithm = nullptr;
-  std::unique_ptr<Oracle> oracle;
-};
-
-TaskSelection select_task(const std::string& task, const Options& opts) {
-  TaskSelection sel;
-  std::string algorithm_name;
-  if (task == "wakeup") {
-    algorithm_name = "wakeup-tree";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "census") {
-    algorithm_name = "census-echo";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "gossip") {
-    algorithm_name = "gossip-tree";
-    sel.oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (task == "broadcast") {
-    algorithm_name = "broadcast-B";
-    sel.oracle = std::make_unique<LightBroadcastOracle>(
-        opts.tree_set ? opts.tree : TreeKind::kLight);
-  } else if (task == "flooding") {
-    algorithm_name = "flooding";
-    sel.oracle = std::make_unique<NullOracle>();
-  } else if (task == "hybrid") {
-    algorithm_name = "hybrid-wakeup";
-    sel.oracle = std::make_unique<PartialTreeOracle>(opts.fraction, opts.seed,
-                                                     opts.tree);
-  } else {
-    usage("unknown task '" + task + "'");
-  }
-  sel.algorithm = algorithm_by_name(algorithm_name);
-  return sel;
-}
-
 int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   if (args.size() != 1) usage("run: expected exactly one task");
   const PortGraph g = read_port_graph(std::cin);
@@ -428,9 +351,13 @@ int cmd_run(const std::vector<std::string>& args, const Options& opts) {
   run_opts.deadline_ns = opts.deadline_ms * 1'000'000;
 
   const std::string& task = args[0];
-  const TaskSelection sel = select_task(task, opts);
-  const Algorithm* algorithm = sel.algorithm;
-  const Oracle* oracle = sel.oracle.get();
+  // --seed seeds hybrid's advised set as well as the scheduler.
+  const TaskBinding binding = bind_task({.task = task,
+                                         .tree = opts.tree,
+                                         .fraction = opts.fraction,
+                                         .oracle_seed = opts.seed});
+  const Algorithm* algorithm = binding.algorithm;
+  const Oracle* oracle = binding.oracle.get();
 
   TraceRecorder recorder(opts.trace_level);
   if (!opts.trace_file.empty()) {
@@ -684,20 +611,8 @@ int cmd_advise(const std::vector<std::string>& args, const Options& opts) {
     return 1;
   }
   if (opts.source >= g.num_nodes()) usage("advise: --source out of range");
-  std::unique_ptr<Oracle> oracle;
-  if (args[0] == "tree") {
-    oracle = std::make_unique<TreeWakeupOracle>(opts.tree);
-  } else if (args[0] == "light") {
-    oracle = std::make_unique<LightBroadcastOracle>(
-        opts.tree_set ? opts.tree : TreeKind::kLight);
-  } else if (args[0] == "partial") {
-    oracle = std::make_unique<PartialTreeOracle>(opts.fraction, opts.seed,
-                                                 opts.tree);
-  } else if (args[0] == "null") {
-    oracle = std::make_unique<NullOracle>();
-  } else {
-    usage("unknown oracle '" + args[0] + "'");
-  }
+  const std::unique_ptr<Oracle> oracle = make_oracle(
+      oracle_kind_by_name(args[0]), opts.tree, opts.fraction, opts.seed);
   const auto advice = oracle->advise(g, opts.source);
   std::cout << "# " << oracle->name() << " on " << g.summary() << ", source "
             << opts.source << ": " << oracle_size_bits(advice)
@@ -708,18 +623,7 @@ int cmd_advise(const std::vector<std::string>& args, const Options& opts) {
 
 int cmd_tree(const std::vector<std::string>& args, const Options& opts) {
   if (args.size() != 1) usage("tree: expected exactly one kind");
-  TreeKind kind;
-  if (args[0] == "bfs") {
-    kind = TreeKind::kBfs;
-  } else if (args[0] == "dfs") {
-    kind = TreeKind::kDfs;
-  } else if (args[0] == "kruskal") {
-    kind = TreeKind::kKruskal;
-  } else if (args[0] == "light") {
-    kind = TreeKind::kLight;
-  } else {
-    usage("unknown tree kind '" + args[0] + "'");
-  }
+  const TreeKind kind = tree_kind_by_name(args[0]);
   const PortGraph g = read_port_graph(std::cin);
   if (opts.root >= g.num_nodes()) usage("tree: --root out of range");
   const SpanningTree t = build_tree(g, opts.root, kind);
@@ -802,8 +706,8 @@ int main(int argc, char** argv) {
   const std::string command = args[0];
   args.erase(args.begin());
   Options opts;
-  args = extract_options(std::move(args), opts);
   try {
+    args = extract_options(std::move(args), opts);
     if (command == "gen") return cmd_gen(args, opts);
     if (command == "run") return cmd_run(args, opts);
     if (command == "trace") return cmd_trace(args, opts);
