@@ -42,9 +42,8 @@ void BitString::append(const BitString& other) {
   for (std::size_t i = 0; i < other.size(); ++i) append_bit(other.bit(i));
 }
 
-bool BitString::bit(std::size_t i) const {
-  if (i >= size_) throw std::out_of_range("BitString::bit");
-  return (words_[i / 64] >> (i % 64)) & 1;
+void BitString::throw_bit_out_of_range() {
+  throw std::out_of_range("BitString::bit");
 }
 
 std::string BitString::to_string() const {
@@ -54,9 +53,8 @@ std::string BitString::to_string() const {
   return s;
 }
 
-bool BitReader::read_bit() {
-  if (exhausted()) throw std::out_of_range("BitReader: exhausted");
-  return bits_->bit(pos_++);
+void BitReader::throw_exhausted() {
+  throw std::out_of_range("BitReader: exhausted");
 }
 
 std::uint64_t BitReader::read_uint(int width) {

@@ -42,8 +42,12 @@ class BitString {
     size_ = 0;
   }
 
-  /// Bit at index i (0-based). Requires i < size().
-  bool bit(std::size_t i) const;
+  /// Bit at index i (0-based). Throws std::out_of_range unless
+  /// i < size().
+  bool bit(std::size_t i) const {
+    if (i >= size_) throw_bit_out_of_range();
+    return (words_[i / 64] >> (i % 64)) & 1;
+  }
 
   /// Number of bits. This is the quantity the paper's "oracle size" sums.
   std::size_t size() const noexcept { return size_; }
@@ -60,6 +64,8 @@ class BitString {
   }
 
  private:
+  [[noreturn]] static void throw_bit_out_of_range();
+
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };
@@ -71,7 +77,10 @@ class BitReader {
  public:
   explicit BitReader(const BitString& bits) noexcept : bits_(&bits) {}
 
-  bool read_bit();
+  bool read_bit() {
+    if (exhausted()) throw_exhausted();
+    return bits_->bit(pos_++);
+  }
 
   /// Reads `width` bits, most significant first.
   std::uint64_t read_uint(int width);
@@ -81,6 +90,8 @@ class BitReader {
   bool exhausted() const noexcept { return pos_ >= bits_->size(); }
 
  private:
+  [[noreturn]] static void throw_exhausted();
+
   const BitString* bits_;
   std::size_t pos_ = 0;
 };

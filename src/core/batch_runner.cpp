@@ -5,7 +5,6 @@
 #include <chrono>
 #include <exception>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -67,7 +66,19 @@ struct PreparedAdvice {
   AdvicePtr advice;
   std::uint64_t advise_ns = 0;
   bool cached = false;
+  /// oracle_size_bits / max_advice_bits of `advice`, computed once per
+  /// advice vector and copied to every spec that shares it.
+  std::uint64_t oracle_bits = 0;
+  std::uint64_t max_advice_bits = 0;
 };
+
+PreparedAdvice prepare_advice(AdvicePtr advice, std::uint64_t advise_ns,
+                              bool cached) {
+  PreparedAdvice prep{std::move(advice), advise_ns, cached};
+  prep.oracle_bits = oracle_size_bits(*prep.advice);
+  prep.max_advice_bits = max_advice_bits(*prep.advice);
+  return prep;
+}
 
 /// Extracts a human-readable message from a captured exception.
 std::string what_of(const std::exception_ptr& e) {
@@ -91,74 +102,46 @@ TaskReport error_report(const TrialSpec& spec, std::string what) {
   return report;
 }
 
-/// The batch-wide instrument set, registered once before workers start so
-/// the recording path is pure relaxed-atomic adds (no registry lookups).
-struct TrialMetrics {
-  explicit TrialMetrics(MetricsRegistry& reg)
-      : trials(reg.counter("trials")),
-        completed(reg.counter("trials_completed")),
-        task_failed(reg.counter("trials_task_failed")),
-        timeout(reg.counter("trials_timeout")),
-        budget_exhausted(reg.counter("trials_budget_exhausted")),
-        crashed(reg.counter("trials_crashed")),
-        byzantine_detected(reg.counter("trials_byzantine_detected")),
-        messages_total(reg.counter("messages_total")),
-        messages_source(reg.counter("messages_source")),
-        messages_hello(reg.counter("messages_hello")),
-        messages_control(reg.counter("messages_control")),
-        bits_on_wire(reg.counter("bits_on_wire")),
-        deliveries(reg.counter("deliveries")),
-        faults_dropped(reg.counter("faults_dropped")),
-        faults_duplicated(reg.counter("faults_duplicated")),
-        faults_delayed(reg.counter("faults_delayed")),
-        faults_crashed_nodes(reg.counter("faults_crashed_nodes")),
-        faults_dead_deliveries(reg.counter("faults_dead_deliveries")),
-        faults_advice_flips(reg.counter("faults_advice_bits_flipped")),
-        byz_lying_nodes(reg.counter("byz_lying_nodes")),
-        byz_forged(reg.counter("byz_forged")),
-        byz_equivocated(reg.counter("byz_equivocated")),
-        byz_replayed(reg.counter("byz_replayed")),
-        byz_structured_lies(reg.counter("byz_structured_lies")),
-        byz_advice_lies(reg.counter("byz_advice_lies")),
-        messages_per_trial(reg.histogram("messages_per_trial")),
-        queue_depth_peak(reg.histogram("queue_depth_peak")),
-        wakeup_latency(reg.histogram("wakeup_latency")) {}
-
-  /// Folds one trial's FINAL report in. Called by the worker that owns the
-  /// trial; every recorded value is deterministic in the spec (counts and
-  /// scheduler keys — never the timing fields).
+/// One worker's plain record of the trials it settled: every counter and
+/// histogram of BatchStats::metrics. Only its owner writes it, so recording
+/// is plain adds on worker-local memory; run_impl folds the shards into one
+/// snapshot after the join.
+struct MetricShard {
+  /// Folds one trial's FINAL report in. Every recorded value is
+  /// deterministic in the spec (counts and scheduler keys — never the
+  /// timing fields).
   void observe(const TaskReport& report) {
-    trials.add();
+    ++trials;
     switch (report.run.status) {
-      case RunStatus::kCompleted: completed.add(); break;
-      case RunStatus::kTaskFailed: task_failed.add(); break;
-      case RunStatus::kTimeout: timeout.add(); break;
-      case RunStatus::kBudgetExhausted: budget_exhausted.add(); break;
-      case RunStatus::kCrashed: crashed.add(); break;
-      case RunStatus::kByzantineDetected: byzantine_detected.add(); break;
+      case RunStatus::kCompleted: ++completed; break;
+      case RunStatus::kTaskFailed: ++task_failed; break;
+      case RunStatus::kTimeout: ++timeout; break;
+      case RunStatus::kBudgetExhausted: ++budget_exhausted; break;
+      case RunStatus::kCrashed: ++crashed; break;
+      case RunStatus::kByzantineDetected: ++byzantine_detected; break;
     }
     if (report.failed()) return;  // crashed trials carry no valid run
     const Metrics& m = report.run.metrics;
-    messages_total.add(m.messages_total);
-    messages_source.add(m.messages_source);
-    messages_hello.add(m.messages_hello);
-    messages_control.add(m.messages_control);
-    bits_on_wire.add(m.bits_sent);
-    deliveries.add(m.deliveries);
+    messages_total += m.messages_total;
+    messages_source += m.messages_source;
+    messages_hello += m.messages_hello;
+    messages_control += m.messages_control;
+    bits_on_wire += m.bits_sent;
+    deliveries += m.deliveries;
     const FaultCounters& f = report.run.faults;
-    faults_dropped.add(f.dropped);
-    faults_duplicated.add(f.duplicated);
-    faults_delayed.add(f.delayed);
-    faults_crashed_nodes.add(f.crashed_nodes);
-    faults_dead_deliveries.add(f.dead_deliveries);
-    faults_advice_flips.add(f.advice_bits_flipped);
+    faults_dropped += f.dropped;
+    faults_duplicated += f.duplicated;
+    faults_delayed += f.delayed;
+    faults_crashed_nodes += f.crashed_nodes;
+    faults_dead_deliveries += f.dead_deliveries;
+    faults_advice_flips += f.advice_bits_flipped;
     const AdversaryCounters& a = report.run.adversary;
-    byz_lying_nodes.add(a.lying_nodes);
-    byz_forged.add(a.forged);
-    byz_equivocated.add(a.equivocated);
-    byz_replayed.add(a.replayed);
-    byz_structured_lies.add(a.structured_lies);
-    byz_advice_lies.add(a.advice_lies);
+    byz_lying_nodes += a.lying_nodes;
+    byz_forged += a.forged;
+    byz_equivocated += a.equivocated;
+    byz_replayed += a.replayed;
+    byz_structured_lies += a.structured_lies;
+    byz_advice_lies += a.advice_lies;
     messages_per_trial.observe(m.messages_total);
     queue_depth_peak.observe(m.queue_depth_peak);
     for (const std::int64_t at : report.run.informed_at) {
@@ -167,35 +150,84 @@ struct TrialMetrics {
     }
   }
 
-  Counter& trials;
-  Counter& completed;
-  Counter& task_failed;
-  Counter& timeout;
-  Counter& budget_exhausted;
-  Counter& crashed;
-  Counter& byzantine_detected;
-  Counter& messages_total;
-  Counter& messages_source;
-  Counter& messages_hello;
-  Counter& messages_control;
-  Counter& bits_on_wire;
-  Counter& deliveries;
-  Counter& faults_dropped;
-  Counter& faults_duplicated;
-  Counter& faults_delayed;
-  Counter& faults_crashed_nodes;
-  Counter& faults_dead_deliveries;
-  Counter& faults_advice_flips;
-  Counter& byz_lying_nodes;
-  Counter& byz_forged;
-  Counter& byz_equivocated;
-  Counter& byz_replayed;
-  Counter& byz_structured_lies;
-  Counter& byz_advice_lies;
-  Histogram& messages_per_trial;
-  Histogram& queue_depth_peak;
-  Histogram& wakeup_latency;
+  /// Adds this shard into `snap` under the instruments' names. Every name
+  /// is written, zero or empty, so the key set never depends on the batch.
+  void fold_into(MetricsSnapshot& snap) const;
+
+  std::uint64_t trials = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t task_failed = 0;
+  std::uint64_t timeout = 0;
+  std::uint64_t budget_exhausted = 0;
+  std::uint64_t crashed = 0;
+  std::uint64_t byzantine_detected = 0;
+  std::uint64_t messages_total = 0;
+  std::uint64_t messages_source = 0;
+  std::uint64_t messages_hello = 0;
+  std::uint64_t messages_control = 0;
+  std::uint64_t bits_on_wire = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t faults_dropped = 0;
+  std::uint64_t faults_duplicated = 0;
+  std::uint64_t faults_delayed = 0;
+  std::uint64_t faults_crashed_nodes = 0;
+  std::uint64_t faults_dead_deliveries = 0;
+  std::uint64_t faults_advice_flips = 0;
+  std::uint64_t byz_lying_nodes = 0;
+  std::uint64_t byz_forged = 0;
+  std::uint64_t byz_equivocated = 0;
+  std::uint64_t byz_replayed = 0;
+  std::uint64_t byz_structured_lies = 0;
+  std::uint64_t byz_advice_lies = 0;
+  HistogramAccumulator messages_per_trial;
+  HistogramAccumulator queue_depth_peak;
+  HistogramAccumulator wakeup_latency;
 };
+
+/// The snapshot name of every MetricShard instrument.
+constexpr std::pair<const char*, std::uint64_t MetricShard::*>
+    kShardCounters[] = {
+        {"trials", &MetricShard::trials},
+        {"trials_completed", &MetricShard::completed},
+        {"trials_task_failed", &MetricShard::task_failed},
+        {"trials_timeout", &MetricShard::timeout},
+        {"trials_budget_exhausted", &MetricShard::budget_exhausted},
+        {"trials_crashed", &MetricShard::crashed},
+        {"trials_byzantine_detected", &MetricShard::byzantine_detected},
+        {"messages_total", &MetricShard::messages_total},
+        {"messages_source", &MetricShard::messages_source},
+        {"messages_hello", &MetricShard::messages_hello},
+        {"messages_control", &MetricShard::messages_control},
+        {"bits_on_wire", &MetricShard::bits_on_wire},
+        {"deliveries", &MetricShard::deliveries},
+        {"faults_dropped", &MetricShard::faults_dropped},
+        {"faults_duplicated", &MetricShard::faults_duplicated},
+        {"faults_delayed", &MetricShard::faults_delayed},
+        {"faults_crashed_nodes", &MetricShard::faults_crashed_nodes},
+        {"faults_dead_deliveries", &MetricShard::faults_dead_deliveries},
+        {"faults_advice_bits_flipped", &MetricShard::faults_advice_flips},
+        {"byz_lying_nodes", &MetricShard::byz_lying_nodes},
+        {"byz_forged", &MetricShard::byz_forged},
+        {"byz_equivocated", &MetricShard::byz_equivocated},
+        {"byz_replayed", &MetricShard::byz_replayed},
+        {"byz_structured_lies", &MetricShard::byz_structured_lies},
+        {"byz_advice_lies", &MetricShard::byz_advice_lies},
+};
+constexpr std::pair<const char*, HistogramAccumulator MetricShard::*>
+    kShardHistograms[] = {
+        {"messages_per_trial", &MetricShard::messages_per_trial},
+        {"queue_depth_peak", &MetricShard::queue_depth_peak},
+        {"wakeup_latency", &MetricShard::wakeup_latency},
+};
+
+void MetricShard::fold_into(MetricsSnapshot& snap) const {
+  for (const auto& [name, field] : kShardCounters) {
+    snap.counters[name] += this->*field;
+  }
+  for (const auto& [name, field] : kShardHistograms) {
+    snap.histograms[name].merge((this->*field).seal());
+  }
+}
 
 /// Executes one trial on `context`, advising first unless the pre-pass
 /// already resolved the advice.
@@ -209,14 +241,16 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
   if (advice) {
     report.advise_ns = prep.advise_ns;
     report.advice_cached = prep.cached;
+    report.oracle_bits = prep.oracle_bits;
+    report.max_advice_bits = prep.max_advice_bits;
   } else {
     const auto started = std::chrono::steady_clock::now();
     advice = std::make_shared<const std::vector<BitString>>(
         spec.oracle->advise(*spec.graph, spec.source));
     report.advise_ns = elapsed_ns(started);
+    report.oracle_bits = oracle_size_bits(*advice);
+    report.max_advice_bits = max_advice_bits(*advice);
   }
-  report.oracle_bits = oracle_size_bits(*advice);
-  report.max_advice_bits = max_advice_bits(*advice);
 
   RunOptions options = spec.options;
   if (spec.algorithm->is_wakeup()) options.enforce_wakeup = true;
@@ -276,12 +310,15 @@ std::vector<TaskReport> BatchRunner::run_impl(
   const std::size_t workers =
       specs.size() < jobs_ ? (specs.empty() ? 1 : specs.size()) : jobs_;
 
-  // Specs carrying their own advice never hit the oracle.
+  // Specs carrying their own advice never hit the oracle. Seed-family
+  // peers usually carry one shared vector, whose sizes are computed once.
+  std::map<const std::vector<BitString>*, std::size_t> first_carrier;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].advice) {
-      prepared[i] = PreparedAdvice{specs[i].advice, 0, true};
-      ++batch_stats.cache_hits;
-    }
+    if (!specs[i].advice) continue;
+    const auto [it, fresh] = first_carrier.emplace(specs[i].advice.get(), i);
+    prepared[i] = fresh ? prepare_advice(specs[i].advice, 0, true)
+                        : prepared[it->second];
+    ++batch_stats.cache_hits;
   }
 
   if (advice_cache_) {
@@ -318,9 +355,12 @@ std::vector<TaskReport> BatchRunner::run_impl(
         const AdviceCache::Lookup looked =
             cache.lookup(*spec.graph, *spec.oracle, spec.source);
         prepared[owner] =
-            PreparedAdvice{looked.advice, looked.advise_ns, false};
+            prepare_advice(looked.advice, looked.advise_ns, false);
+        PreparedAdvice duplicate = prepared[owner];
+        duplicate.advise_ns = 0;
+        duplicate.cached = true;
         for (std::size_t j = 1; j < indices.size(); ++j) {
-          prepared[indices[j]] = PreparedAdvice{looked.advice, 0, true};
+          prepared[indices[j]] = duplicate;
         }
       } catch (...) {
         // The uncached path would have thrown in every one of these
@@ -359,13 +399,6 @@ std::vector<TaskReport> BatchRunner::run_impl(
       batch_stats.cache_hits += indices.size() - 1;
     }
   }
-
-  // Metric aggregation is opt-in via the stats out-param: instruments are
-  // registered here (under the registry mutex), workers record with relaxed
-  // atomic adds only, and the snapshot is taken after the join.
-  MetricsRegistry registry;
-  std::optional<TrialMetrics> trial_metrics;
-  if (stats != nullptr) trial_metrics.emplace(registry);
 
   // Fault-isolated trial execution with bounded, deterministically
   // re-seeded retry. Only the worker that claimed trial i touches
@@ -407,11 +440,13 @@ std::vector<TaskReport> BatchRunner::run_impl(
     }
   };
 
-  // Each trial is observed exactly once, by the worker that claimed it,
-  // after its LAST attempt settled.
-  auto run_and_observe = [&](std::size_t i, ExecutionContext& context) {
+  // Each trial is observed exactly once, into the shard of the worker that
+  // claimed it, after its LAST attempt settled. Metric recording is opt-in
+  // via the stats out-param: without one, `shard` is null.
+  auto run_and_observe = [&](std::size_t i, ExecutionContext& context,
+                             MetricShard* shard) {
     run_one(i, context);
-    if (trial_metrics) trial_metrics->observe(results[i]);
+    if (shard != nullptr) shard->observe(results[i]);
   };
 
   // Group the batch by seed family: specs identical up to their seeds
@@ -455,13 +490,11 @@ std::vector<TaskReport> BatchRunner::run_impl(
   // lanes take the pass's RunResult, diverged lanes replay scalar on this
   // worker's context, reproducing run_one report for report.
   auto run_family = [&](std::size_t u, ExecutionContext& context,
-                        SeedBatchExecutionContext& batched) {
+                        SeedBatchExecutionContext& batched,
+                        MetricShard* shard) {
     const std::vector<std::size_t>& members = family_work[u];
     const TrialSpec& proto = specs[members.front()];
     const AdvicePtr advice = prepared[members.front()].advice;
-    // Every shared lane reports the family's one advice vector.
-    const std::uint64_t oracle_bits = oracle_size_bits(*advice);
-    const std::uint64_t advice_bits_max = max_advice_bits(*advice);
     RunOptions base = proto.options;
     if (proto.algorithm->is_wakeup()) base.enforce_wakeup = true;
 
@@ -510,8 +543,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
           report.algorithm_name = specs[i].algorithm->name();
           report.advise_ns = prepared[i].advise_ns;
           report.advice_cached = prepared[i].cached;
-          report.oracle_bits = oracle_bits;
-          report.max_advice_bits = advice_bits_max;
+          report.oracle_bits = prepared[i].oracle_bits;
+          report.max_advice_bits = prepared[i].max_advice_bits;
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared
@@ -540,7 +573,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
           if (!report.failed()) errors[i] = nullptr;
           if (lane_shared) ++family_shared[u];
           results[i] = std::move(report);
-          if (trial_metrics) trial_metrics->observe(results[i]);
+          if (shard != nullptr) shard->observe(results[i]);
         } else {
           still_pending.push_back(
               {i, pending[j].seed + retry_.reseed_stride,
@@ -570,14 +603,19 @@ std::vector<TaskReport> BatchRunner::run_impl(
 
   const std::size_t pool_workers =
       items.size() < workers ? items.size() : workers;
+  // One plain metric shard per worker, written only by that worker and
+  // folded in worker order after the join.
+  const bool record = stats != nullptr;
+  std::vector<MetricShard> shards(pool_workers <= 1 ? 1 : pool_workers);
   if (pool_workers <= 1) {
     ExecutionContext context;
     SeedBatchExecutionContext batched;
+    MetricShard* shard = record ? &shards.front() : nullptr;
     for (const WorkItem& item : items) {
       if (item.family) {
-        run_family(item.index, context, batched);
+        run_family(item.index, context, batched, shard);
       } else {
-        run_and_observe(item.index, context);
+        run_and_observe(item.index, context, shard);
       }
     }
   } else {
@@ -589,18 +627,21 @@ std::vector<TaskReport> BatchRunner::run_impl(
     std::vector<std::thread> pool;
     pool.reserve(pool_workers);
     for (std::size_t w = 0; w < pool_workers; ++w) {
-      pool.emplace_back([&]() {
+      pool.emplace_back([&, w]() {
         ExecutionContext context;
         SeedBatchExecutionContext batched;
+        MetricShard local;
+        MetricShard* shard = record ? &local : nullptr;
         while (true) {
           const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
           if (k >= items.size()) break;
           if (items[k].family) {
-            run_family(items[k].index, context, batched);
+            run_family(items[k].index, context, batched, shard);
           } else {
-            run_and_observe(items[k].index, context);
+            run_and_observe(items[k].index, context, shard);
           }
         }
+        if (record) shards[w] = local;
       });
     }
     for (std::thread& t : pool) t.join();
@@ -626,16 +667,20 @@ std::vector<TaskReport> BatchRunner::run_impl(
     }
   }
 
-  if (stats != nullptr) {
+  if (record) {
+    for (const MetricShard& shard : shards) {
+      shard.fold_into(batch_stats.metrics);
+    }
     // Batch-level accounting joins the snapshot as plain counters so one
     // JSON object carries everything.
-    registry.counter("retries").add(batch_stats.retries);
-    registry.counter("advice_cache_hits").add(batch_stats.cache_hits);
-    registry.counter("advice_unique").add(batch_stats.unique_advice);
-    registry.counter("seed_families").add(batch_stats.seed_families);
-    registry.counter("batched_lanes").add(batch_stats.batched_lanes);
-    registry.counter("lockstep_shared_lanes").add(batch_stats.lockstep_shared);
-    batch_stats.metrics = registry.snapshot();
+    std::map<std::string, std::uint64_t>& counters =
+        batch_stats.metrics.counters;
+    counters["retries"] = batch_stats.retries;
+    counters["advice_cache_hits"] = batch_stats.cache_hits;
+    counters["advice_unique"] = batch_stats.unique_advice;
+    counters["seed_families"] = batch_stats.seed_families;
+    counters["batched_lanes"] = batch_stats.batched_lanes;
+    counters["lockstep_shared_lanes"] = batch_stats.lockstep_shared;
   }
 
   if (eptrs_out != nullptr) *eptrs_out = std::move(errors);

@@ -162,9 +162,10 @@ struct BatchStats {
   std::size_t lockstep_shared = 0;
   /// Named cross-trial aggregates (sim/metrics_registry.h): trial outcomes,
   /// messages by kind, bits on wire, fault impact, and the queue-depth /
-  /// per-node-wakeup-latency histograms. Recorded lock-free by the workers
-  /// (relaxed atomic adds) and snapshotted after they join. Every recorded
-  /// quantity is deterministic in the specs, so the snapshot is
+  /// per-node-wakeup-latency histograms. Each worker records into its own
+  /// shard of plain counters and HistogramAccumulators; the shards are
+  /// folded, in worker order, after the join. Every recorded quantity is
+  /// deterministic in the specs and the fold commutes, so the snapshot is
   /// bit-identical for any jobs() — tests/test_metrics.cpp pins this.
   /// Populated only when a BatchStats out-param is passed; runs without one
   /// skip all metric recording.

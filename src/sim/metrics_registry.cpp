@@ -20,6 +20,34 @@ void Histogram::observe(std::uint64_t value) noexcept {
   }
 }
 
+HistogramStats HistogramAccumulator::seal() const {
+  HistogramStats s;
+  s.count = count;
+  s.sum = sum;
+  if (count > 0) {
+    s.min = min;
+    s.max = max;
+  }
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    if (buckets[b] > 0) {
+      s.buckets.emplace_back(static_cast<std::uint32_t>(b), buckets[b]);
+    }
+  }
+  return s;
+}
+
+HistogramAccumulator Histogram::load() const noexcept {
+  HistogramAccumulator acc;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    acc.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+  }
+  acc.count = count_.load(std::memory_order_relaxed);
+  acc.sum = sum_.load(std::memory_order_relaxed);
+  acc.min = min_.load(std::memory_order_relaxed);
+  acc.max = max_.load(std::memory_order_relaxed);
+  return acc;
+}
+
 void HistogramStats::merge(const HistogramStats& other) {
   if (other.count == 0) return;
   if (count == 0) {
@@ -139,18 +167,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
   for (const auto& [name, h] : histograms_) {
-    HistogramStats s;
-    s.count = h.count();
-    s.sum = h.sum();
-    if (s.count > 0) {
-      s.min = h.min();
-      s.max = h.max();
-    }
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t c = h.bucket(b);
-      if (c > 0) s.buckets.emplace_back(static_cast<std::uint32_t>(b), c);
-    }
-    snap.histograms[name] = std::move(s);
+    snap.histograms[name] = h.load().seal();
   }
   return snap;
 }

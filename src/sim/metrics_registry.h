@@ -1,21 +1,27 @@
-// A registry of named counters and histograms, lock-free on the add path.
+// Named counters and histograms, plain and atomic.
 //
-// The batch runtime (core/batch_runner.h) aggregates per-trial quantities —
-// messages by kind, bits on wire, queue depth, wakeup latency — across its
-// worker threads. The registry splits that into two phases:
+// Two recorders share one sealed form (HistogramStats, MetricsSnapshot):
 //
-//  * registration (`counter(name)` / `histogram(name)`) takes a mutex and
-//    returns a STABLE reference (std::map storage is node-based); callers
-//    register every instrument up front, before workers start;
-//  * recording (`Counter::add`, `Histogram::observe`) is a relaxed atomic
-//    operation — no locks, no allocation, safe from any thread.
+//  * HistogramAccumulator — a plain, single-writer histogram. The batch
+//    runtime (core/batch_runner.h) gives every pool worker its own shard of
+//    plain counters and accumulators, records each trial there with no
+//    atomics and no shared cache lines, and folds the shards once, after
+//    the workers join.
+//  * MetricsRegistry — named atomic instruments for recorders that are
+//    never joined, such as the advice service's per-request instruments
+//    (service/advice_service.h). Registration (`counter(name)` /
+//    `histogram(name)`) takes a mutex and returns a STABLE reference
+//    (std::map storage is node-based); recording (`Counter::add`,
+//    `Histogram::observe`) is a relaxed atomic operation — no locks, no
+//    allocation, safe from any thread. snapshot() seals each histogram
+//    through HistogramAccumulator::seal, so both recorders export alike.
 //
-// Everything recorded here is a sum of per-trial contributions, and every
-// per-trial contribution is deterministic in the trial's spec (counts,
-// scheduler keys — never wall-clock time). Relaxed addition commutes, so a
-// snapshot taken after the workers join is bit-identical regardless of the
-// worker count. tests/test_metrics.cpp pins that jobs=1 and jobs=8 produce
-// equal snapshots.
+// Everything the batch runtime records is a sum of per-trial contributions,
+// and every per-trial contribution is deterministic in the trial's spec
+// (counts, scheduler keys — never wall-clock time). Counter addition and
+// HistogramStats::merge commute, so the merged snapshot is bit-identical
+// regardless of the worker count. tests/test_metrics.cpp pins that jobs=1
+// and jobs=8 produce equal snapshots.
 //
 // Histograms use power-of-two buckets: a value lands in bucket
 // bit_width(value), i.e. bucket 0 holds exactly the zeros and bucket b >= 1
@@ -23,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -32,6 +39,45 @@
 #include <vector>
 
 namespace oraclesize {
+
+/// A sealed histogram: plain values, comparable and mergeable.
+struct HistogramStats {
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;  ///< meaningful only when count > 0
+  std::uint64_t max = 0;
+  /// Non-empty buckets only, as (bit_width, count), ascending by width.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
+
+  void merge(const HistogramStats& other);
+
+  friend bool operator==(const HistogramStats&,
+                         const HistogramStats&) = default;
+};
+
+/// A plain power-of-two-bucket histogram for a single writer: the same
+/// buckets, count, sum, min and max as Histogram, without the atomics.
+struct HistogramAccumulator {
+  /// bit_width ranges over 0..64, one bucket each.
+  static constexpr std::size_t kBuckets = 65;
+
+  std::uint64_t buckets[kBuckets] = {};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = ~0ULL;  ///< meaningful only when count > 0
+  std::uint64_t max = 0;
+
+  void observe(std::uint64_t value) noexcept {
+    ++buckets[std::bit_width(value)];
+    ++count;
+    sum += value;
+    if (value < min) min = value;
+    if (value > max) max = value;
+  }
+
+  /// The sealed form: min/max zeroed when empty, non-empty buckets only.
+  HistogramStats seal() const;
+};
 
 /// A monotone counter. add() is wait-free; value() is a relaxed load, so
 /// read it only after the writers are quiescent (post-join).
@@ -52,27 +98,13 @@ class Counter {
 /// a handful of relaxed atomic ops (bucket, count, sum, min/max CAS).
 class Histogram {
  public:
-  /// bit_width ranges over 0..64, one bucket each.
-  static constexpr std::size_t kBuckets = 65;
+  static constexpr std::size_t kBuckets = HistogramAccumulator::kBuckets;
 
   void observe(std::uint64_t value) noexcept;
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Meaningful only when count() > 0.
-  std::uint64_t min() const noexcept {
-    return min_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t max() const noexcept {
-    return max_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bucket(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
+  /// A plain copy of every field (relaxed loads): read it only after the
+  /// writers are quiescent.
+  HistogramAccumulator load() const noexcept;
 
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
@@ -80,21 +112,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{~0ULL};
   std::atomic<std::uint64_t> max_{0};
-};
-
-/// A sealed histogram: plain values, comparable and mergeable.
-struct HistogramStats {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  ///< meaningful only when count > 0
-  std::uint64_t max = 0;
-  /// Non-empty buckets only, as (bit_width, count), ascending by width.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
-
-  void merge(const HistogramStats& other);
-
-  friend bool operator==(const HistogramStats&,
-                         const HistogramStats&) = default;
 };
 
 /// A consistent copy of a registry: plain values in deterministic (name)

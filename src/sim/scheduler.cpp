@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "lowerbound/counting_adversary.h"
 
@@ -22,6 +23,16 @@ const char* to_string(SchedulerKind kind) {
       return "async-adversarial";
   }
   return "unknown";
+}
+
+SchedulerKind scheduler_kind_by_name(const std::string& name) {
+  for (SchedulerKind kind :
+       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
+        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo,
+        SchedulerKind::kAsyncLinkFifo, SchedulerKind::kAsyncAdversarial}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown scheduler '" + name + "'");
 }
 
 namespace {

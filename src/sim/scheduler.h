@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -52,6 +53,10 @@ enum class SchedulerKind {
 };
 
 const char* to_string(SchedulerKind kind);
+
+/// Inverse of to_string(SchedulerKind); throws std::invalid_argument
+/// naming an unknown scheduler.
+SchedulerKind scheduler_kind_by_name(const std::string& name);
 
 /// Computes the priority key under which a message becomes deliverable.
 /// Lower keys deliver first; ties broken by sequence number (FIFO).

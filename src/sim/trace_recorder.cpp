@@ -62,16 +62,6 @@ std::string tok_word(std::istringstream& in, std::size_t line,
   return v;
 }
 
-SchedulerKind scheduler_from_string(const std::string& s, std::size_t line) {
-  if (s == "sync") return SchedulerKind::kSynchronous;
-  if (s == "async-random") return SchedulerKind::kAsyncRandom;
-  if (s == "async-fifo") return SchedulerKind::kAsyncFifo;
-  if (s == "async-lifo") return SchedulerKind::kAsyncLifo;
-  if (s == "async-link-fifo") return SchedulerKind::kAsyncLinkFifo;
-  if (s == "async-adversarial") return SchedulerKind::kAsyncAdversarial;
-  parse_fail(line, "unknown scheduler '" + s + "'");
-}
-
 TraceEventKind event_kind_from_string(const std::string& s,
                                       std::size_t line) {
   if (s == "send") return TraceEventKind::kSend;
@@ -343,8 +333,12 @@ RecordedTrace load_trace(std::istream& is) {
     } else if (tag == "source") {
       t.header.source = static_cast<NodeId>(tok_u64(in, lineno, "source"));
     } else if (tag == "scheduler") {
-      t.header.scheduler =
-          scheduler_from_string(tok_word(in, lineno, "scheduler"), lineno);
+      try {
+        t.header.scheduler =
+            scheduler_kind_by_name(tok_word(in, lineno, "scheduler"));
+      } catch (const std::invalid_argument& e) {
+        parse_fail(lineno, e.what());
+      }
     } else if (tag == "keying") {
       // Delays are counter-keyed (sim/scheduler.h); traces recorded under
       // the retired draw-order stream keying cannot be replayed.

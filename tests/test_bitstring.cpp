@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace oraclesize {
 namespace {
@@ -91,9 +92,21 @@ TEST(BitString, EqualityIsContentBased) {
   EXPECT_NE(a, c);
 }
 
+/// The message of the std::out_of_range `read` throws ("" if none).
+template <typename F>
+std::string out_of_range_what(F read) {
+  try {
+    read();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(BitString, BitOutOfRangeThrows) {
   const BitString s = BitString::from_string("1");
   EXPECT_THROW(s.bit(1), std::out_of_range);
+  EXPECT_EQ(out_of_range_what([&] { return s.bit(1); }), "BitString::bit");
 }
 
 TEST(BitReader, SequentialReads) {
@@ -123,6 +136,8 @@ TEST(BitReader, ReadPastEndThrows) {
   r.read_bit();
   r.read_bit();
   EXPECT_THROW(r.read_bit(), std::out_of_range);
+  EXPECT_EQ(out_of_range_what([&] { return r.read_bit(); }),
+            "BitReader: exhausted");
   BitReader r2(s);
   EXPECT_THROW(r2.read_uint(3), std::out_of_range);
 }

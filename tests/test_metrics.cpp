@@ -10,9 +10,12 @@
 //    under EVERY scheduler;
 //  * wall_ns == advise_ns + run_ns in every TaskReport;
 //  * a BatchStats::metrics snapshot is bit-identical at jobs=1 and jobs=8,
-//    and its counters agree with the summed per-report Metrics.
+//    and equals the returned reports folded by hand, histogram buckets,
+//    min and max included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -149,7 +152,103 @@ TEST(MetricsInvariants, SnapshotBitIdenticalAcrossJobs) {
   EXPECT_EQ(a.str(), b.str());
 }
 
+/// The snapshot name of the counter a trial's final status increments.
+const char* status_counter(RunStatus status) {
+  switch (status) {
+    case RunStatus::kCompleted: return "trials_completed";
+    case RunStatus::kTaskFailed: return "trials_task_failed";
+    case RunStatus::kTimeout: return "trials_timeout";
+    case RunStatus::kBudgetExhausted: return "trials_budget_exhausted";
+    case RunStatus::kCrashed: return "trials_crashed";
+    case RunStatus::kByzantineDetected: return "trials_byzantine_detected";
+  }
+  return "unknown";
+}
+
+/// BatchStats::metrics recomputed from the returned reports alone: all 25
+/// trial counters, all three histograms field by field, and the six batch
+/// counters. Every instrument is named even when it stays zero or empty.
+MetricsSnapshot fold_reports(const std::vector<TaskReport>& reports,
+                             const BatchStats& stats) {
+  MetricsSnapshot want;
+  std::map<std::string, std::uint64_t>& c = want.counters;
+  for (const char* name :
+       {"trials", "trials_completed", "trials_task_failed", "trials_timeout",
+        "trials_budget_exhausted", "trials_crashed",
+        "trials_byzantine_detected", "messages_total", "messages_source",
+        "messages_hello", "messages_control", "bits_on_wire", "deliveries",
+        "faults_dropped", "faults_duplicated", "faults_delayed",
+        "faults_crashed_nodes", "faults_dead_deliveries",
+        "faults_advice_bits_flipped", "byz_lying_nodes", "byz_forged",
+        "byz_equivocated", "byz_replayed", "byz_structured_lies",
+        "byz_advice_lies"}) {
+    c[name] = 0;
+  }
+  std::map<std::string, std::map<std::uint32_t, std::uint64_t>> widths;
+  for (const char* name :
+       {"messages_per_trial", "queue_depth_peak", "wakeup_latency"}) {
+    want.histograms[name] = HistogramStats{};
+    widths[name];
+  }
+  const auto observe = [&](const char* name, std::uint64_t v) {
+    HistogramStats& h = want.histograms[name];
+    h.min = h.count == 0 ? v : std::min(h.min, v);
+    h.max = h.count == 0 ? v : std::max(h.max, v);
+    ++h.count;
+    h.sum += v;
+    ++widths[name][static_cast<std::uint32_t>(std::bit_width(v))];
+  };
+
+  std::uint64_t retries = 0;
+  for (const TaskReport& r : reports) {
+    retries += r.attempts - 1;
+    ++c["trials"];
+    ++c[status_counter(r.run.status)];
+    if (r.failed()) continue;
+    const Metrics& m = r.run.metrics;
+    c["messages_total"] += m.messages_total;
+    c["messages_source"] += m.messages_source;
+    c["messages_hello"] += m.messages_hello;
+    c["messages_control"] += m.messages_control;
+    c["bits_on_wire"] += m.bits_sent;
+    c["deliveries"] += m.deliveries;
+    c["faults_dropped"] += r.run.faults.dropped;
+    c["faults_duplicated"] += r.run.faults.duplicated;
+    c["faults_delayed"] += r.run.faults.delayed;
+    c["faults_crashed_nodes"] += r.run.faults.crashed_nodes;
+    c["faults_dead_deliveries"] += r.run.faults.dead_deliveries;
+    c["faults_advice_bits_flipped"] += r.run.faults.advice_bits_flipped;
+    c["byz_lying_nodes"] += r.run.adversary.lying_nodes;
+    c["byz_forged"] += r.run.adversary.forged;
+    c["byz_equivocated"] += r.run.adversary.equivocated;
+    c["byz_replayed"] += r.run.adversary.replayed;
+    c["byz_structured_lies"] += r.run.adversary.structured_lies;
+    c["byz_advice_lies"] += r.run.adversary.advice_lies;
+    observe("messages_per_trial", m.messages_total);
+    observe("queue_depth_peak", m.queue_depth_peak);
+    for (const std::int64_t at : r.run.informed_at) {
+      if (at != RunResult::kNeverInformed) {
+        observe("wakeup_latency", static_cast<std::uint64_t>(at));
+      }
+    }
+  }
+  for (const auto& [name, by_width] : widths) {
+    for (const auto& [width, count] : by_width) {
+      want.histograms[name].buckets.emplace_back(width, count);
+    }
+  }
+  c["retries"] = retries;
+  c["advice_cache_hits"] = stats.cache_hits;
+  c["advice_unique"] = stats.unique_advice;
+  c["seed_families"] = stats.seed_families;
+  c["batched_lanes"] = stats.batched_lanes;
+  c["lockstep_shared_lanes"] = stats.lockstep_shared;
+  return want;
+}
+
 TEST(MetricsInvariants, SnapshotAgreesWithSummedReports) {
+  // Three kinds of work in one batch: scalar singles, a lockstep family
+  // whose fault lanes diverge and replay scalar, and trials that retry.
   const PortGraph g = metrics_graph();
   const TreeWakeupOracle tree;
   const LightBroadcastOracle light;
@@ -158,44 +257,32 @@ TEST(MetricsInvariants, SnapshotAgreesWithSummedReports) {
   const BroadcastBAlgorithm broadcast;
   const FloodingAlgorithm flooding;
   const GossipTreeAlgorithm gossip;
-  const std::vector<TrialSpec> specs =
+  std::vector<TrialSpec> specs =
       mixed_specs(g, tree, light, null, wakeup, broadcast, flooding, gossip);
-
-  BatchStats stats;
-  const std::vector<TaskReport> reports = BatchRunner(3).run(specs, &stats);
-
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t informed = 0;
-  std::uint64_t completed = 0;
-  for (const TaskReport& r : reports) {
-    messages += r.run.metrics.messages_total;
-    bits += r.run.metrics.bits_sent;
-    deliveries += r.run.metrics.deliveries;
-    dropped += r.run.faults.dropped;
-    informed += r.run.informed_count();
-    if (r.run.status == RunStatus::kCompleted) ++completed;
+  for (std::uint64_t lane = 0; lane < 16; ++lane) {
+    RunOptions faulty;
+    faulty.fault.seed = 900 + lane;
+    faulty.fault.drop = 0.02;
+    specs.push_back({&g, 7, &tree, &wakeup, faulty});
   }
-  const std::map<std::string, std::uint64_t>& c = stats.metrics.counters;
-  EXPECT_EQ(c.at("trials"), specs.size());
-  EXPECT_EQ(c.at("trials_completed"), completed);
-  EXPECT_EQ(c.at("messages_total"), messages);
-  EXPECT_EQ(c.at("bits_on_wire"), bits);
-  EXPECT_EQ(c.at("deliveries"), deliveries);
-  EXPECT_EQ(c.at("faults_dropped"), dropped);
-  EXPECT_EQ(c.at("advice_cache_hits"), stats.cache_hits);
+  RetryPolicy retry;
+  retry.max_retries = 2;
+  retry.retry_task_failures = true;
 
-  const HistogramStats& per_trial =
-      stats.metrics.histograms.at("messages_per_trial");
-  EXPECT_EQ(per_trial.count, specs.size());
-  EXPECT_EQ(per_trial.sum, messages);
-  const HistogramStats& latency =
-      stats.metrics.histograms.at("wakeup_latency");
-  EXPECT_EQ(latency.count, informed);
-  EXPECT_EQ(stats.metrics.histograms.at("queue_depth_peak").count,
-            specs.size());
+  std::vector<MetricsSnapshot> snapshots;
+  for (const std::size_t jobs : {1u, 4u}) {
+    BatchStats stats;
+    const std::vector<TaskReport> reports =
+        BatchRunner(jobs, true, retry).run(specs, &stats);
+    ASSERT_EQ(reports.size(), specs.size());
+    EXPECT_EQ(stats.seed_families, 1u) << "jobs=" << jobs;
+    EXPECT_GT(stats.lockstep_shared, 0u) << "jobs=" << jobs;
+    EXPECT_LT(stats.lockstep_shared, stats.batched_lanes) << "jobs=" << jobs;
+    EXPECT_GT(stats.retries, 0u) << "jobs=" << jobs;
+    EXPECT_EQ(stats.metrics, fold_reports(reports, stats)) << "jobs=" << jobs;
+    snapshots.push_back(stats.metrics);
+  }
+  EXPECT_EQ(snapshots[0], snapshots[1]);
 }
 
 // ---- Registry unit behavior ------------------------------------------------
@@ -206,8 +293,15 @@ TEST(MetricsRegistry, HistogramBucketsByBitWidth) {
   for (const std::uint64_t v : {0ULL, 1ULL, 2ULL, 3ULL, 8ULL, 1023ULL}) {
     h.observe(v);
   }
+  HistogramAccumulator acc;
+  for (const std::uint64_t v : {0ULL, 1ULL, 2ULL, 3ULL, 8ULL, 1023ULL}) {
+    acc.observe(v);
+  }
   const MetricsSnapshot snap = reg.snapshot();
   const HistogramStats& s = snap.histograms.at("h");
+  // The plain accumulator seals to exactly what the atomic one snapshots.
+  EXPECT_EQ(acc.seal(), s);
+  EXPECT_EQ(HistogramAccumulator{}.seal(), HistogramStats{});
   EXPECT_EQ(s.count, 6u);
   EXPECT_EQ(s.sum, 1037u);
   EXPECT_EQ(s.min, 0u);
@@ -229,6 +323,11 @@ TEST(MetricsRegistry, SnapshotMergeSumsEverything) {
 
   MetricsSnapshot merged = a.snapshot();
   merged.merge(b.snapshot());
+  // BatchRunner folds per-worker shards in worker order, so the merge must
+  // commute.
+  MetricsSnapshot reversed = b.snapshot();
+  reversed.merge(a.snapshot());
+  EXPECT_EQ(reversed, merged);
   EXPECT_EQ(merged.counters.at("c"), 8u);
   EXPECT_EQ(merged.counters.at("only_b"), 1u);
   const HistogramStats& h = merged.histograms.at("h");

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/broadcast_b.h"
 #include "core/runner.h"
@@ -80,6 +81,50 @@ TEST(TraceRecorder, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.metrics, t.metrics);
   EXPECT_EQ(loaded.faults, t.faults);
   EXPECT_EQ(loaded.digest(), t.digest());
+}
+
+TEST(TraceRecorder, EverySchedulerKindRoundTrips) {
+  // The header names the scheduler by to_string(SchedulerKind), and
+  // load_trace reads it back through scheduler_kind_by_name.
+  for (const SchedulerKind kind :
+       {SchedulerKind::kSynchronous, SchedulerKind::kAsyncRandom,
+        SchedulerKind::kAsyncFifo, SchedulerKind::kAsyncLifo,
+        SchedulerKind::kAsyncLinkFifo, SchedulerKind::kAsyncAdversarial}) {
+    RunOptions opts;
+    opts.scheduler = kind;
+    opts.seed = 4242;
+    const RecordedTrace t = record_broadcast(opts, TraceLevel::kMessages);
+    std::stringstream ss;
+    save_trace(ss, t);
+    const RecordedTrace loaded = load_trace(ss);
+    EXPECT_EQ(loaded.header.scheduler, kind) << to_string(kind);
+    EXPECT_EQ(loaded.header, t.header) << to_string(kind);
+    EXPECT_EQ(loaded.digest(), t.digest()) << to_string(kind);
+  }
+}
+
+TEST(TraceRecorder, UnknownSchedulerIsALineNumberedParseError) {
+  const RecordedTrace t = record_broadcast();
+  std::stringstream ss;
+  save_trace(ss, t);
+  std::string text = ss.str();
+  const std::string line = std::string("\nscheduler ") +
+                           to_string(t.header.scheduler) + "\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "\nscheduler async-sometimes\n");
+  std::istringstream in(text);
+  try {
+    load_trace(in);
+    ADD_FAILURE() << "loaded a trace with an unknown scheduler";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace parse error (line "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("unknown scheduler 'async-sometimes'"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(TraceRecorder, StreamOrMissingKeyingHeaderIsRejected) {
