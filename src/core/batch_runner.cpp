@@ -10,44 +10,16 @@
 #include <tuple>
 #include <utility>
 
-#include "sim/execution_context.h"
 #include "sim/seed_batch_engine.h"
 
 namespace oraclesize {
 
 SeedFamilyKey seed_family_key(const TrialSpec& spec) {
-  SeedFamilyKey key;
-  key.graph = spec.graph;
-  key.source = spec.source;
-  if (spec.oracle != nullptr) key.oracle = spec.oracle->name();
-  key.algorithm = spec.algorithm;
-  key.advice = spec.advice.get();
-  const RunOptions& o = spec.options;
-  key.scheduler = o.scheduler;
-  key.max_delay = o.max_delay;
-  key.max_messages = o.max_messages;
-  key.enforce_wakeup = o.enforce_wakeup;
-  key.anonymous = o.anonymous;
-  key.deadline_ns = o.deadline_ns;
-  key.max_events = o.max_events;
-  key.trace_sink = o.trace_sink;
-  key.fault_drop = o.fault.drop;
-  key.fault_duplicate = o.fault.duplicate;
-  key.fault_delay = o.fault.delay;
-  key.fault_max_extra_delay = o.fault.max_extra_delay;
-  key.fault_crash = o.fault.crash;
-  key.fault_max_crash_key = o.fault.max_crash_key;
-  key.fault_crash_source = o.fault.crash_source;
-  key.fault_advice_flip = o.fault.advice_flip;
-  key.adv_seed = o.adversary.seed;
-  key.adv_rate = o.adversary.byz_rate;
-  key.adv_nodes = o.adversary.byz_nodes;
-  key.adv_source = o.adversary.byz_source;
-  key.adv_strategy = o.adversary.strategy;
-  key.adv_forge = o.adversary.forge;
-  key.adv_equivocate = o.adversary.equivocate;
-  key.adv_advice_lie = o.adversary.advice_lie;
-  key.adv_replay_window = o.adversary.replay_window;
+  SeedFamilyKey key{spec.graph, spec.source,
+                    spec.oracle != nullptr ? spec.oracle->name() : "",
+                    spec.algorithm, spec.advice.get(), spec.options};
+  key.options.seed = 0;
+  key.options.fault.seed = 0;
   return key;
 }
 
@@ -100,6 +72,64 @@ TaskReport error_report(const TrialSpec& spec, std::string what) {
   report.error = std::move(what);
   report.run.status = RunStatus::kCrashed;
   return report;
+}
+
+/// Whether an attempt's outcome may change under re-seeding, so the retry
+/// policy may re-run it.
+bool transient_outcome(const TaskReport& report, const RetryPolicy& retry) {
+  return report.failed() || report.run.status == RunStatus::kTimeout ||
+         report.run.status == RunStatus::kBudgetExhausted ||
+         (retry.retry_task_failures &&
+          report.run.status == RunStatus::kTaskFailed);
+}
+
+/// The fields a trial's report takes from its spec and its prepared advice
+/// (zero advice fields when the trial advises for itself).
+TaskReport report_header(const TrialSpec& spec, const PreparedAdvice& prep) {
+  TaskReport report;
+  report.oracle_name = spec.oracle->name();
+  report.algorithm_name = spec.algorithm->name();
+  report.advise_ns = prep.advise_ns;
+  report.advice_cached = prep.cached;
+  report.oracle_bits = prep.oracle_bits;
+  report.max_advice_bits = prep.max_advice_bits;
+  return report;
+}
+
+/// Hands out the work indices [0, count) to whichever worker asks next.
+class WorkClaim {
+ public:
+  explicit WorkClaim(std::size_t count) : count_(count) {}
+
+  /// Claims the next index into `k`; false once every index is taken.
+  bool next(std::size_t& k) {
+    k = next_.fetch_add(1, std::memory_order_relaxed);
+    return k < count_;
+  }
+
+ private:
+  std::atomic<std::size_t> next_{0};
+  std::size_t count_;
+};
+
+/// Runs worker(w, claim) for w in [0, workers) over one shared claim of
+/// [0, count). Each worker claims indices until none are left, so which
+/// worker runs which index is scheduling only. With workers <= 1 the one
+/// worker runs on the calling thread and no thread starts (run_task and
+/// oracled call BatchRunner once per trial or micro-batch).
+template <class Worker>
+void run_workers(std::size_t workers, std::size_t count, Worker&& worker) {
+  WorkClaim claim(count);
+  if (workers <= 1) {
+    worker(std::size_t{0}, claim);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&worker, &claim, w]() { worker(w, claim); });
+  }
+  for (std::thread& t : pool) t.join();
 }
 
 /// One worker's plain record of the trials it settled: every counter and
@@ -233,17 +263,9 @@ void MetricShard::fold_into(MetricsSnapshot& snap) const {
 /// already resolved the advice.
 TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
                      ExecutionContext& context) {
-  TaskReport report;
-  report.oracle_name = spec.oracle->name();
-  report.algorithm_name = spec.algorithm->name();
-
+  TaskReport report = report_header(spec, prep);
   AdvicePtr advice = prep.advice;
-  if (advice) {
-    report.advise_ns = prep.advise_ns;
-    report.advice_cached = prep.cached;
-    report.oracle_bits = prep.oracle_bits;
-    report.max_advice_bits = prep.max_advice_bits;
-  } else {
+  if (!advice) {
     const auto started = std::chrono::steady_clock::now();
     advice = std::make_shared<const std::vector<BitString>>(
         spec.oracle->advise(*spec.graph, spec.source));
@@ -372,25 +394,10 @@ std::vector<TaskReport> BatchRunner::run_impl(
       }
     };
 
-    if (workers <= 1 || work.size() <= 1) {
-      for (const auto* indices : work) compute_group(*indices);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(workers < work.size() ? workers : work.size());
-      for (std::size_t w = 0;
-           w < (workers < work.size() ? workers : work.size()); ++w) {
-        pool.emplace_back([&]() {
-          while (true) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= work.size()) break;
-            compute_group(*work[i]);
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-    }
+    run_workers(std::min(workers, work.size()), work.size(),
+                [&](std::size_t, WorkClaim& claim) {
+                  for (std::size_t k; claim.next(k);) compute_group(*work[k]);
+                });
 
     const AdviceCache::Stats cache_stats = cache.stats();
     batch_stats.unique_advice = cache_stats.misses;
@@ -421,12 +428,8 @@ std::vector<TaskReport> BatchRunner::run_impl(
         report = error_report(specs[i], what_of(errors[i]));
       }
       report.attempts = attempt + 1;
-      const bool transient =
-          report.failed() || report.run.status == RunStatus::kTimeout ||
-          report.run.status == RunStatus::kBudgetExhausted ||
-          (retry_.retry_task_failures &&
-           report.run.status == RunStatus::kTaskFailed);
-      if (!transient || attempt >= retry_.max_retries) {
+      if (!transient_outcome(report, retry_) ||
+          attempt >= retry_.max_retries) {
         if (!report.failed()) errors[i] = nullptr;  // a retry recovered
         results[i] = std::move(report);
         return;
@@ -438,15 +441,6 @@ std::vector<TaskReport> BatchRunner::run_impl(
       spec.options.seed += retry_.reseed_stride;
       spec.options.fault.seed += retry_.reseed_stride;
     }
-  };
-
-  // Each trial is observed exactly once, into the shard of the worker that
-  // claimed it, after its LAST attempt settled. Metric recording is opt-in
-  // via the stats out-param: without one, `shard` is null.
-  auto run_and_observe = [&](std::size_t i, ExecutionContext& context,
-                             MetricShard* shard) {
-    run_one(i, context);
-    if (shard != nullptr) shard->observe(results[i]);
   };
 
   // Group the batch by seed family: specs identical up to their seeds
@@ -469,7 +463,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
       }
     }
     for (auto& [key, indices] : families) {
-      if (!seed_batch_.enabled_for(indices.size())) continue;
+      if (indices.size() < 2) continue;  // a lone spec stays scalar
       for (const std::size_t i : indices) claimed[i] = 1;
       family_work.push_back(std::move(indices));
     }
@@ -487,10 +481,9 @@ std::vector<TaskReport> BatchRunner::run_impl(
   // still pending, with the same per-trial retry/fault-isolation semantics
   // as run_one. Retries shift only the two seeds, so every pass stays one
   // family; lanes retire from `pending` as their attempts settle — shared
-  // lanes take the pass's RunResult, diverged lanes replay scalar on this
-  // worker's context, reproducing run_one report for report.
-  auto run_family = [&](std::size_t u, ExecutionContext& context,
-                        SeedBatchExecutionContext& batched,
+  // lanes take the pass's RunResult, diverged lanes replay on the engine's
+  // scalar(), reproducing run_one report for report.
+  auto run_family = [&](std::size_t u, SeedBatchExecutionContext& engine,
                         MetricShard* shard) {
     const std::vector<std::size_t>& members = family_work[u];
     const TrialSpec& proto = specs[members.front()];
@@ -519,7 +512,7 @@ std::vector<TaskReport> BatchRunner::run_impl(
         lanes.push_back({ls.seed, ls.fault_seed});
       }
       const auto started = std::chrono::steady_clock::now();
-      batched.run_lockstep(*proto.graph, proto.source, *advice,
+      engine.run_lockstep(*proto.graph, proto.source, *advice,
                            *proto.algorithm, base, lanes, disp);
       const std::uint64_t lockstep_ns = elapsed_ns(started);
       std::size_t shared_count = 0;
@@ -539,17 +532,12 @@ std::vector<TaskReport> BatchRunner::run_impl(
             disp[j] == SeedBatchExecutionContext::LaneDisposition::kShared;
         TaskReport report;
         if (lane_shared) {
-          report.oracle_name = specs[i].oracle->name();
-          report.algorithm_name = specs[i].algorithm->name();
-          report.advise_ns = prepared[i].advise_ns;
-          report.advice_cached = prepared[i].cached;
-          report.oracle_bits = prepared[i].oracle_bits;
-          report.max_advice_bits = prepared[i].max_advice_bits;
+          report = report_header(specs[i], prepared[i]);
           // Per-lane materialization: under counter-keyed seeded
           // schedulers the key-valued fields differ per scheduler-seed
           // class; for everything else this is a plain copy of the shared
           // result.
-          report.run = batched.lane_result(j);
+          report.run = engine.lane_result(j);
           report.run_ns = shared_ns;
           report.wall_ns = report.advise_ns + report.run_ns;
         } else {
@@ -557,19 +545,15 @@ std::vector<TaskReport> BatchRunner::run_impl(
           attempt_spec.options.seed = pending[j].seed;
           attempt_spec.options.fault.seed = pending[j].fault_seed;
           try {
-            report = run_trial(attempt_spec, prepared[i], context);
+            report = run_trial(attempt_spec, prepared[i], engine.scalar());
           } catch (...) {
             errors[i] = std::current_exception();
             report = error_report(specs[i], what_of(errors[i]));
           }
         }
         report.attempts = pending[j].attempt + 1;
-        const bool transient =
-            report.failed() || report.run.status == RunStatus::kTimeout ||
-            report.run.status == RunStatus::kBudgetExhausted ||
-            (retry_.retry_task_failures &&
-             report.run.status == RunStatus::kTaskFailed);
-        if (!transient || pending[j].attempt >= retry_.max_retries) {
+        if (!transient_outcome(report, retry_) ||
+            pending[j].attempt >= retry_.max_retries) {
           if (!report.failed()) errors[i] = nullptr;
           if (lane_shared) ++family_shared[u];
           results[i] = std::move(report);
@@ -601,51 +585,34 @@ std::vector<TaskReport> BatchRunner::run_impl(
   }
   for (const std::size_t i : pool_work) items.push_back({false, i});
 
-  const std::size_t pool_workers =
-      items.size() < workers ? items.size() : workers;
-  // One plain metric shard per worker, written only by that worker and
-  // folded in worker order after the join.
+  const std::size_t pool_workers = std::min(items.size(), workers);
+  // One engine and one plain metric shard per worker: scalar singles and
+  // replayed lanes run on the engine's scalar(), the lockstep pass on the
+  // same node plane. Each trial is observed exactly once, into its
+  // worker's shard, after its LAST attempt settled; without a stats
+  // out-param nothing is recorded. Shards are folded in worker order after
+  // the join. A family
+  // unit is claimed — and its members' result slots written — by exactly
+  // one worker; every slot is fixed by spec index, so results are in spec
+  // order no matter which worker claims which item.
   const bool record = stats != nullptr;
-  std::vector<MetricShard> shards(pool_workers <= 1 ? 1 : pool_workers);
-  if (pool_workers <= 1) {
-    ExecutionContext context;
-    SeedBatchExecutionContext batched;
-    MetricShard* shard = record ? &shards.front() : nullptr;
-    for (const WorkItem& item : items) {
+  std::vector<MetricShard> shards(std::max<std::size_t>(pool_workers, 1));
+  run_workers(pool_workers, items.size(), [&](std::size_t w,
+                                              WorkClaim& claim) {
+    SeedBatchExecutionContext engine;
+    MetricShard local;
+    MetricShard* shard = record ? &local : nullptr;
+    for (std::size_t k; claim.next(k);) {
+      const WorkItem& item = items[k];
       if (item.family) {
-        run_family(item.index, context, batched, shard);
+        run_family(item.index, engine, shard);
       } else {
-        run_and_observe(item.index, context, shard);
+        run_one(item.index, engine.scalar());
+        if (shard != nullptr) shard->observe(results[item.index]);
       }
     }
-  } else {
-    // Work-stealing by atomic counter: trial i's RESULT slot is fixed by
-    // i, so results are in spec order no matter which worker claims which
-    // item (a family unit is claimed — and its members' slots written — by
-    // exactly one worker).
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(pool_workers);
-    for (std::size_t w = 0; w < pool_workers; ++w) {
-      pool.emplace_back([&, w]() {
-        ExecutionContext context;
-        SeedBatchExecutionContext batched;
-        MetricShard local;
-        MetricShard* shard = record ? &local : nullptr;
-        while (true) {
-          const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= items.size()) break;
-          if (items[k].family) {
-            run_family(items[k].index, context, batched, shard);
-          } else {
-            run_and_observe(items[k].index, context, shard);
-          }
-        }
-        if (record) shards[w] = local;
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+    if (record) shards[w] = local;
+  });
 
   // All remaining accounting reads final per-trial reports, so it can run
   // serially after the join (no atomics needed).

@@ -3,9 +3,11 @@
 // A TrialSpec names everything one execution needs — network, source,
 // oracle, algorithm, run options — without owning any of it. BatchRunner
 // takes a vector of specs and plays them on a pool of worker threads, one
-// reusable ExecutionContext per worker (sim/execution_context.h), so a
-// sweep of thousands of trials performs no per-trial setup allocation
-// beyond what the trials themselves demand.
+// reusable engine per worker: a SeedBatchExecutionContext
+// (sim/seed_batch_engine.h), whose embedded ExecutionContext plays the
+// scalar trials on the same node plane as the lockstep passes. So a sweep
+// of thousands of trials performs no per-trial setup allocation beyond
+// what the trials themselves demand.
 //
 // Advice memoization: before any trial runs, BatchRunner dedupes the batch
 // by (graph, oracle name, source) and computes each distinct advice vector
@@ -34,9 +36,9 @@
 // tests/test_advice_cache.cpp enforce all of this.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -82,64 +84,22 @@ struct TrialSpec {
 /// pointer for the graph/algorithm/advice (keys are meaningful within one
 /// batch, not across processes) and by name for the oracle, matching the
 /// advise pre-pass key so family peers always share one cached advice
-/// artifact.
+/// artifact. `options` is the spec's RunOptions with both seeds zeroed, so
+/// every other field — a new one included — splits families by the
+/// options' own defaulted comparison. The adversary seed stays in: lanes
+/// with different adversary seeds face different colluding sets.
 struct SeedFamilyKey {
   const PortGraph* graph = nullptr;
   NodeId source = 0;
   std::string oracle;
   const Algorithm* algorithm = nullptr;
   const void* advice = nullptr;  ///< TrialSpec::advice identity (may be null)
-  SchedulerKind scheduler = SchedulerKind::kSynchronous;
-  std::uint32_t max_delay = 0;
-  std::uint64_t max_messages = 0;
-  bool enforce_wakeup = false;
-  bool anonymous = false;
-  std::uint64_t deadline_ns = 0;
-  std::uint64_t max_events = 0;
-  const void* trace_sink = nullptr;
-  /// FaultPlanParams minus its seed.
-  double fault_drop = 0.0;
-  double fault_duplicate = 0.0;
-  double fault_delay = 0.0;
-  std::uint32_t fault_max_extra_delay = 0;
-  double fault_crash = 0.0;
-  std::uint32_t fault_max_crash_key = 0;
-  bool fault_crash_source = false;
-  double fault_advice_flip = 0.0;
-  /// AdversaryPlanParams INCLUDING its seed: the Byzantine regime is part
-  /// of the family identity (lanes with different adversary seeds face
-  /// different colluding sets, which the lockstep executor cannot share —
-  /// and Byzantine families are ineligible anyway, so keeping the seed in
-  /// the key just keeps the grouping honest).
-  std::uint64_t adv_seed = 0;
-  double adv_rate = 0.0;
-  std::uint32_t adv_nodes = 0;
-  bool adv_source = false;
-  ByzantineStrategy adv_strategy = ByzantineStrategy::kRandomBits;
-  double adv_forge = 0.0;
-  double adv_equivocate = 0.0;
-  double adv_advice_lie = 0.0;
-  std::uint32_t adv_replay_window = 0;
+  RunOptions options;            ///< seed and fault.seed zeroed
 
   friend bool operator==(const SeedFamilyKey&,
                          const SeedFamilyKey&) = default;
-
- private:
-  auto tie() const {
-    return std::tie(graph, source, oracle, algorithm, advice, scheduler,
-                    max_delay, max_messages, enforce_wakeup, anonymous,
-                    deadline_ns, max_events, trace_sink, fault_drop,
-                    fault_duplicate, fault_delay, fault_max_extra_delay,
-                    fault_crash, fault_max_crash_key, fault_crash_source,
-                    fault_advice_flip, adv_seed, adv_rate, adv_nodes,
-                    adv_source, adv_strategy, adv_forge, adv_equivocate,
-                    adv_advice_lie, adv_replay_window);
-  }
-
- public:
-  friend bool operator<(const SeedFamilyKey& a, const SeedFamilyKey& b) {
-    return a.tie() < b.tie();
-  }
+  friend auto operator<=>(const SeedFamilyKey&,
+                          const SeedFamilyKey&) = default;
 };
 
 /// The spec's seed-family identity. Pure in the spec; see SeedFamilyKey.
@@ -197,22 +157,15 @@ struct RetryPolicy {
 struct RetiredPolicy {};
 
 /// Automatic seed-family collapsing (ON by default). Specs identical up to
-/// their seeds (seed_family_key) are grouped and routed through one
-/// seed-batched lockstep context (sim/seed_batch_engine.h) as a single
-/// work unit; per-trial TaskReports are fanned back out bit-identical to
-/// the scalar path, so the policy is purely a wall-clock decision. Families
-/// only form over resolved shared advice: with the advice cache off (the
-/// measurement baseline) every trial stays scalar.
+/// their seeds (seed_family_key) are grouped, and every family of at least
+/// two lockstep-eligible specs is routed through one seed-batched lockstep
+/// context (sim/seed_batch_engine.h) as a single work unit; per-trial
+/// TaskReports are fanned back out bit-identical to the scalar path, so
+/// the policy is purely a wall-clock decision. Families only form over
+/// resolved shared advice: with the advice cache off (the measurement
+/// baseline) every trial stays scalar.
 struct SeedBatchPolicy {
   bool enabled = true;
-  /// Smallest family routed through the batched context; families below it
-  /// (and every spec without family peers) run scalar. Minimum meaningful
-  /// value is 2.
-  std::size_t min_lanes = 2;
-
-  bool enabled_for(std::size_t lanes) const noexcept {
-    return enabled && lanes >= (min_lanes < 2 ? 2 : min_lanes);
-  }
 };
 
 class BatchRunner {

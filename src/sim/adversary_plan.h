@@ -46,6 +46,7 @@
 // ZeroAdversaryPlanIsInvisible and tests/test_zero_alloc.cpp).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -98,6 +99,8 @@ struct AdversaryPlanParams {
 
   friend bool operator==(const AdversaryPlanParams&,
                          const AdversaryPlanParams&) = default;
+  friend auto operator<=>(const AdversaryPlanParams&,
+                          const AdversaryPlanParams&) = default;
 };
 
 /// What the adversary did to one run — reported next to FaultCounters so

@@ -10,6 +10,7 @@
 // informed.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -84,6 +85,11 @@ struct RunOptions {
   /// fault plan's counter keys; sim/trace_analysis.h reads per-edge traffic
   /// off the recorded stream.
   TraceSink* trace_sink = nullptr;
+
+  /// Field-by-field comparisons: core/batch_runner.h's SeedFamilyKey orders
+  /// seed families by every field but the two seeds.
+  friend bool operator==(const RunOptions&, const RunOptions&) = default;
+  friend auto operator<=>(const RunOptions&, const RunOptions&) = default;
 };
 
 struct RunResult {

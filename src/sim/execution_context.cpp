@@ -10,32 +10,44 @@
 
 namespace oraclesize {
 
-namespace {
-
-// Violation-message formatting lives in cold helpers so the hot submit path
-// carries no std::ostringstream machinery (construction alone costs a
-// locale grab + buffer allocation).
-[[gnu::cold]] std::string format_wakeup_violation(NodeId v) {
+std::string ExecutionContext::format_wakeup_violation(NodeId v) {
   std::ostringstream os;
   os << "wakeup violation: uninformed node " << v << " transmitted";
   return os.str();
 }
 
-[[gnu::cold]] std::string format_invalid_send(NodeId v, Port port,
-                                              std::size_t degree) {
+std::string ExecutionContext::format_invalid_send(NodeId v, Port port,
+                                                  std::size_t degree) {
   std::ostringstream os;
   os << "invalid send: node " << v << " port " << port << " (degree " << degree
      << ")";
   return os.str();
 }
 
-[[gnu::cold]] std::string format_behavior_exception(const char* what) {
+std::string ExecutionContext::format_behavior_exception(const char* what) {
   std::string s = "behavior exception: ";
   s += what;
   return s;
 }
 
-}  // namespace
+void ExecutionContext::bind_run(const PortGraph& g, NodeId source,
+                                const std::vector<BitString>& advice,
+                                bool anonymous, RunResult& result) {
+  const std::size_t n = g.num_nodes();
+  result.informed.assign(n, false);
+  result.informed[source] = true;
+  result.sends_by_node.assign(n, 0);
+  result.informed_at.assign(n, RunResult::kNeverInformed);
+  result.informed_at[source] = 0;
+  inputs_.resize(n);
+  link_offset_.resize(n + 1);
+  link_offset_[0] = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    inputs_[v] = NodeInput{&advice[v], v == source,
+                           anonymous ? Label{0} : g.label(v), g.degree(v)};
+    link_offset_[v + 1] = link_offset_[v] + g.degree(v);
+  }
+}
 
 void ExecutionContext::arm_behaviors(std::size_t n,
                                      const Algorithm& algorithm) {
@@ -46,11 +58,20 @@ void ExecutionContext::arm_behaviors(std::size_t n,
   // Pooled behaviors beyond the previous run's node count don't exist; the
   // reusable prefix is whatever survives both the pool and this run's size.
   const std::size_t reuse = pool_matches ? std::min(pool_count_, n) : 0;
-  for (NodeId v = 0; v < reuse; ++v) {
-    behaviors_[v]->reset(inputs_[v]);
-  }
-  for (NodeId v = reuse; v < n; ++v) {
-    behaviors_[v] = algorithm.make_behavior(inputs_[v]);
+  try {
+    for (NodeId v = 0; v < reuse; ++v) {
+      behaviors_[v]->reset(inputs_[v]);
+    }
+    for (NodeId v = reuse; v < n; ++v) {
+      behaviors_[v] = algorithm.make_behavior(inputs_[v]);
+    }
+  } catch (...) {
+    // A partial arm leaves behaviors_ inconsistent with the pool
+    // bookkeeping; drop both so the next run rebuilds from scratch.
+    behaviors_.clear();
+    pool_algorithm_.clear();
+    pool_count_ = 0;
+    throw;
   }
   if (reusable) {
     pool_algorithm_ = algorithm.name();
@@ -59,6 +80,17 @@ void ExecutionContext::arm_behaviors(std::size_t n,
     pool_algorithm_.clear();
     pool_count_ = 0;
   }
+}
+
+void ExecutionContext::collect_outputs(std::size_t n,
+                                       RunResult& result) const {
+  result.terminated.resize(n);
+  result.outputs.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    result.terminated[v] = behaviors_[v]->terminated();
+    result.outputs[v] = behaviors_[v]->output();
+  }
+  result.all_informed = (result.informed_count() == n);
 }
 
 RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
@@ -72,11 +104,6 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
   if (source >= n) throw std::invalid_argument("run_execution: bad source");
 
   RunResult result;
-  result.informed.assign(n, false);
-  result.informed[source] = true;
-  result.sends_by_node.assign(n, 0);
-  result.informed_at.assign(n, RunResult::kNeverInformed);
-  result.informed_at[source] = 0;
 
   auto fail = [&](std::string what) {
     if (result.violation.empty()) result.violation = std::move(what);
@@ -124,15 +151,7 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
   // outcome instead of the legacy propagate-to-caller contract.
   const bool guarded = faulty || byz;
 
-  inputs_.resize(n);
-  link_offset_.resize(n + 1);
-  link_offset_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    inputs_[v] = NodeInput{&(*advice_used)[v], v == source,
-                           options.anonymous ? Label{0} : g.label(v),
-                           g.degree(v)};
-    link_offset_[v + 1] = link_offset_[v] + g.degree(v);
-  }
+  bind_run(g, source, *advice_used, options.anonymous, result);
 
   if (sink) {
     // Node-state prologue: each node's advice binding (the string it will
@@ -168,11 +187,6 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
     try {
       arm_behaviors(n, algorithm);
     } catch (const std::exception& e) {
-      // A partial arm leaves behaviors_ inconsistent with the pool
-      // bookkeeping; drop both so the next run rebuilds from scratch.
-      behaviors_.clear();
-      pool_algorithm_.clear();
-      pool_count_ = 0;
       fail(format_behavior_exception(e.what()));
       armed = false;
     }
@@ -462,13 +476,7 @@ RunResult ExecutionContext::run(const PortGraph& g, NodeId source,
     submit(ev.to, sends_, top.key);
   }
 
-  result.terminated.resize(n);
-  result.outputs.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    result.terminated[v] = behaviors_[v]->terminated();
-    result.outputs[v] = behaviors_[v]->output();
-  }
-  result.all_informed = (result.informed_count() == n);
+  collect_outputs(n, result);
   result.metrics.queue_depth_peak = events_.peak();
   if (timed_out) {
     result.status = RunStatus::kTimeout;

@@ -23,6 +23,7 @@
 // tests/test_goldens.cpp and tests/test_fault_plan.cpp).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -55,6 +56,8 @@ struct FaultPlanParams {
 
   friend bool operator==(const FaultPlanParams&,
                          const FaultPlanParams&) = default;
+  friend auto operator<=>(const FaultPlanParams&,
+                          const FaultPlanParams&) = default;
 };
 
 /// What the faults did to one run — reported next to Metrics so robustness

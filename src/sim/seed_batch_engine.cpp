@@ -2,38 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace oraclesize {
-
-namespace {
-
-// Cold formatting helpers, duplicated from the scalar engine so violation
-// strings in the shared result match ExecutionContext's byte for byte (the
-// bit-identity contract covers RunResult::violation).
-[[gnu::cold]] std::string format_wakeup_violation(NodeId v) {
-  std::ostringstream os;
-  os << "wakeup violation: uninformed node " << v << " transmitted";
-  return os.str();
-}
-
-[[gnu::cold]] std::string format_invalid_send(NodeId v, Port port,
-                                              std::size_t degree) {
-  std::ostringstream os;
-  os << "invalid send: node " << v << " port " << port << " (degree " << degree
-     << ")";
-  return os.str();
-}
-
-[[gnu::cold]] std::string format_behavior_exception(const char* what) {
-  std::string s = "behavior exception: ";
-  s += what;
-  return s;
-}
-
-}  // namespace
 
 bool SeedBatchExecutionContext::lockstep_eligible(
     const RunOptions& base) noexcept {
@@ -56,28 +28,6 @@ bool SeedBatchExecutionContext::lockstep_eligible(
   // route to scalar replay (fallback-not-divergence), never diverge.
   return base.trace_sink == nullptr && base.deadline_ns == 0 &&
          !base.adversary.enabled();
-}
-
-void SeedBatchExecutionContext::arm_behaviors(std::size_t n,
-                                              const Algorithm& algorithm) {
-  const bool reusable = algorithm.reusable();
-  const bool pool_matches =
-      reusable && pool_count_ > 0 && pool_algorithm_ == algorithm.name();
-  behaviors_.resize(n);
-  const std::size_t reuse = pool_matches ? std::min(pool_count_, n) : 0;
-  for (NodeId v = 0; v < reuse; ++v) {
-    behaviors_[v]->reset(inputs_[v]);
-  }
-  for (NodeId v = reuse; v < n; ++v) {
-    behaviors_[v] = algorithm.make_behavior(inputs_[v]);
-  }
-  if (reusable) {
-    pool_algorithm_ = algorithm.name();
-    pool_count_ = n;
-  } else {
-    pool_algorithm_.clear();
-    pool_count_ = 0;
-  }
 }
 
 const RunResult& SeedBatchExecutionContext::run_lockstep(
@@ -133,28 +83,21 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   }
   bool aborted = shared == 0;
 
-  result_.informed.assign(n, false);
-  result_.informed[source] = true;
-  result_.sends_by_node.assign(n, 0);
-  result_.informed_at.assign(n, RunResult::kNeverInformed);
-  result_.informed_at[source] = 0;
-
   auto fail = [&](std::string what) {
     if (result_.violation.empty()) result_.violation = std::move(what);
   };
 
-  inputs_.resize(n);
-  link_offset_.resize(n + 1);
-  link_offset_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    // Shared lanes read the ORIGINAL advice: fault lanes that would have
-    // decoded a corrupted copy retired at arm time, and a zero-flip copy is
-    // content-identical to the original.
-    inputs_[v] = NodeInput{&advice[v], v == source,
-                           base.anonymous ? Label{0} : g.label(v),
-                           g.degree(v)};
-    link_offset_[v + 1] = link_offset_[v] + g.degree(v);
-  }
+  // The pass runs on the scalar engine's node plane and behavior pool;
+  // replays later re-bind and re-arm the same storage. Shared lanes read
+  // the ORIGINAL advice: fault lanes that would have decoded a corrupted
+  // copy retired at arm time, and a zero-flip copy is content-identical to
+  // the original.
+  scalar_.bind_run(g, source, advice, base.anonymous, result_);
+  std::vector<NodeInput>& inputs = scalar_.inputs_;
+  std::vector<std::unique_ptr<NodeBehavior>>& behaviors = scalar_.behaviors_;
+  std::vector<Send>& scratch = scalar_.sends_;  // send sink, per event
+  EventHeap& events = scalar_.events_;
+  const std::vector<std::uint64_t>& link_offset = scalar_.link_offset_;
 
   // Counter-keyed seeded schedulers: group the surviving lanes into key
   // classes by scheduler seed. Each class gets its own queue / clocks /
@@ -188,7 +131,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         c.now = 0;
         c.completion_key = 0;
         if (link_fifo) {
-          c.link_clock.assign(link_offset_[n], 0);
+          c.link_clock.assign(link_offset[n], 0);
         } else {
           c.link_clock.clear();
         }
@@ -221,13 +164,10 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   bool armed = true;
   if (!aborted) {
     try {
-      arm_behaviors(n, algorithm);
+      scalar_.arm_behaviors(n, algorithm);
     } catch (const std::exception& e) {
-      behaviors_.clear();
-      pool_algorithm_.clear();
-      pool_count_ = 0;
       drop_clean_lanes();
-      fail(format_behavior_exception(e.what()));
+      fail(ExecutionContext::format_behavior_exception(e.what()));
       armed = false;
     }
   }
@@ -242,12 +182,12 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
     return result_;
   }
 
-  events_.clear();
+  events.clear();
   std::uint64_t seq = 0;
   bool budget_hit = false;
-  // Keyed mode bypasses events_'s own queue (classes carry their own), so
-  // the pending count and its peak — the scalar engine's queue-size
-  // trajectory — are tracked by hand.
+  // Keyed mode bypasses the event pool's own queue (classes carry their
+  // own), so the pending count and its peak — the scalar engine's
+  // queue-size trajectory — are tracked by hand.
   std::size_t pending = 0;
   std::size_t pending_peak = 0;
   // Keyed mode defers the on_start sends' per-class keys to the first pop
@@ -367,12 +307,12 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   auto submit = [&](NodeId v, const std::vector<Send>& sends,
                     std::int64_t now) {
     if (!sends.empty() && base.enforce_wakeup && !result_.informed[v]) {
-      fail(format_wakeup_violation(v));
+      fail(ExecutionContext::format_wakeup_violation(v));
       return;
     }
     for (const Send& s : sends) {
-      if (s.port >= link_offset_[v + 1] - link_offset_[v]) {
-        fail(format_invalid_send(v, s.port, g.degree(v)));
+      if (s.port >= link_offset[v + 1] - link_offset[v]) {
+        fail(ExecutionContext::format_invalid_send(v, s.port, g.degree(v)));
         return;
       }
       if (result_.metrics.messages_total >= base.max_messages) {
@@ -380,7 +320,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         fail("message budget exceeded");
         return;
       }
-      const std::uint64_t link = link_offset_[v] + s.port;
+      const std::uint64_t link = link_offset[v] + s.port;
       const Endpoint dst = csr ? csr[link] : g.neighbor(v, s.port);
       result_.metrics.count_send(s.msg);
       ++result_.sends_by_node[v];
@@ -411,11 +351,11 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
           return;
         }
       }
-      const std::size_t slot = events_.acquire_slot();
-      events_.slot(slot) =
+      const std::size_t slot = events.acquire_slot();
+      events.slot(slot) =
           EngineEvent{dst.node, dst.port, s.msg, result_.informed[v]};
       if (!keyed_) {
-        events_.push({delivery_key(now, seq), seq, slot});
+        events.push({delivery_key(now, seq), seq, slot});
       } else {
         // One seed-independent hash for the message, one mix per active
         // class — the counter-keyed mirror of the fault mask above. The
@@ -438,45 +378,45 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
 
   auto invoke_start = [&](NodeId v) {
     try {
-      behaviors_[v]->on_start(inputs_[v], sends_);
+      behaviors[v]->on_start(inputs[v], scratch);
       return true;
     } catch (const std::exception& e) {
       drop_clean_lanes();
-      fail(format_behavior_exception(e.what()));
+      fail(ExecutionContext::format_behavior_exception(e.what()));
       return false;
     }
   };
   auto invoke_receive = [&](NodeId v, const Message& msg, Port at_port) {
     try {
-      behaviors_[v]->on_receive(inputs_[v], msg, at_port, sends_);
+      behaviors[v]->on_receive(inputs[v], msg, at_port, scratch);
       return true;
     } catch (const std::exception& e) {
       drop_clean_lanes();
-      fail(format_behavior_exception(e.what()));
+      fail(ExecutionContext::format_behavior_exception(e.what()));
       return false;
     }
   };
 
   for (NodeId v = 0; v < n && result_.violation.empty() && !aborted; ++v) {
-    sends_.clear();
+    scratch.clear();
     if (!invoke_start(v)) break;
-    submit(v, sends_, 0);
+    submit(v, scratch, 0);
   }
   starting = false;
 
   std::uint64_t processed = 0;
-  bool events_exhausted = false;
+  bool eventsexhausted = false;
 
-  while ((keyed_ ? pending > 0 : !events_.empty()) &&
+  while ((keyed_ ? pending > 0 : !events.empty()) &&
          result_.violation.empty() && !aborted) {
     if (base.max_events > 0 && processed >= base.max_events) {
-      events_exhausted = true;
+      eventsexhausted = true;
       break;
     }
     ++processed;
     EventHeap::Entry top;
     if (!keyed_) {
-      top = events_.pop();
+      top = events.pop();
     } else {
       // The first active class drives: its minimum defines the delivery.
       // Every other class's minimum must name the same message, or that
@@ -522,8 +462,8 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       }
       --pending;
     }
-    EngineEvent ev = std::move(events_.slot(top.slot));
-    events_.release_slot(top.slot);
+    EngineEvent ev = std::move(events.slot(top.slot));
+    events.release_slot(top.slot);
     // No crash-stop check: lanes with a non-empty crash schedule never
     // reach the pass, so the clean stream has no dead deliveries.
     ++result_.metrics.deliveries;
@@ -544,9 +484,9 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
         }
       }
     }
-    sends_.clear();
+    scratch.clear();
     if (!invoke_receive(ev.to, ev.msg, ev.at_port)) break;
-    submit(ev.to, sends_, top.key);
+    submit(ev.to, scratch, top.key);
   }
 
   stats_.lockstep_events = processed;
@@ -554,14 +494,8 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
   stats_.replayed = stats_.lanes - shared;
   if (shared == 0) return result_;  // nobody reads the aborted state
 
-  result_.terminated.resize(n);
-  result_.outputs.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    result_.terminated[v] = behaviors_[v]->terminated();
-    result_.outputs[v] = behaviors_[v]->output();
-  }
-  result_.all_informed = (result_.informed_count() == n);
-  result_.metrics.queue_depth_peak = keyed_ ? pending_peak : events_.peak();
+  scalar_.collect_outputs(n, result_);
+  result_.metrics.queue_depth_peak = keyed_ ? pending_peak : events.peak();
   if (keyed_) {
     // Classes still unarmed saw no pop at all.
     for (const std::uint32_t ci : active_classes_) {
@@ -577,7 +511,7 @@ const RunResult& SeedBatchExecutionContext::run_lockstep(
       break;
     }
   }
-  if (events_exhausted || budget_hit) {
+  if (eventsexhausted || budget_hit) {
     result_.status = RunStatus::kBudgetExhausted;
   } else if (!result_.violation.empty() || !result_.all_informed) {
     result_.status = RunStatus::kTaskFailed;

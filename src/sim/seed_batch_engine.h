@@ -169,35 +169,31 @@ class SeedBatchExecutionContext {
                              const std::vector<Lane>& lanes);
 
   /// Lane i's view of the most recent run_lockstep's shared result: the
-  /// shared plane patched with lane i's key class's completion_key,
-  /// informed_at, and queue_depth_peak. Identity (a plain copy of the
-  /// shared result) for the seed-independent schedulers. Meaningful only
-  /// for lanes whose disposition is kShared.
+  /// shared result patched with lane i's key class's completion_key and
+  /// informed_at. Identity (a plain copy of the shared result) for the
+  /// seed-independent schedulers. Meaningful only for lanes whose
+  /// disposition is kShared.
   RunResult lane_result(std::size_t lane) const;
 
   /// Usage accounting of the most recent run_lockstep / run call.
   const SeedBatchStats& last_stats() const noexcept { return stats_; }
 
-  /// The embedded scalar engine (used by run() for replays); exposed so a
-  /// caller driving run_lockstep directly can reuse it.
+  /// The embedded scalar engine. The lockstep pass runs on its node plane
+  /// and behavior pool, and run() replays diverged lanes on it; a caller
+  /// driving run_lockstep directly replays there too, and may play its own
+  /// scalar trials on it in between (core/batch_runner.cpp does both). A
+  /// scalar run leaves the last pass's result and lane_result intact.
   ExecutionContext& scalar() noexcept { return scalar_; }
 
  private:
-  /// Mirrors ExecutionContext::arm_behaviors, including the reusable-pool
-  /// bookkeeping, so a worker alternating between batched and scalar runs
-  /// keeps zero steady-state behavior allocations.
-  void arm_behaviors(std::size_t n, const Algorithm& algorithm);
-
+  /// Node plane (inputs, behavior pool, send scratch, event slot pool,
+  /// link offsets) for both the pass and the replays.
   ExecutionContext scalar_;
   SeedBatchStats stats_;
-  RunResult result_;  ///< the shared clean-run result (storage for the ref)
-
-  // Clean-pass state, mirroring ExecutionContext's reuse discipline.
-  std::vector<NodeInput> inputs_;
-  std::vector<std::unique_ptr<NodeBehavior>> behaviors_;
-  std::vector<Send> sends_;  ///< scratch sink, recycled per event
-  EventHeap events_;
-  std::vector<std::uint64_t> link_offset_;  ///< prefix sums of degrees
+  /// The last pass's shared clean-run result (storage for the returned
+  /// reference). It is complete when run_lockstep returns, so replays may
+  /// reuse the plane while lane_result still reads it.
+  RunResult result_;
 
   // SoA lane plane: one armed plan per fault-enabled lane, plus the
   // compacted index set of lanes still answering the per-message mask.
@@ -238,9 +234,6 @@ class SeedBatchExecutionContext {
     std::size_t slot;
   };
   std::vector<StartEntry> start_batch_;
-
-  std::string pool_algorithm_;
-  std::size_t pool_count_ = 0;
 };
 
 }  // namespace oraclesize

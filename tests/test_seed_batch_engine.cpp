@@ -9,14 +9,15 @@
 //    with options.seed varying per lane — the key-class machinery), plus
 //    the lane-retirement edge cases (first lane dies, last lane dies,
 //    all-but-one die, all die), key-class order-split retirement,
-//    eligibility fallbacks, budget statuses, and the behavior-exception
-//    split.
+//    eligibility fallbacks, budget statuses, the behavior-exception
+//    split, and passes, replays and scalar runs interleaved on one
+//    context's shared node plane.
 //  * SeedFamily.*           — seed_family_key: seed-blind, everything-else
 //    sensitive.
 //  * SeedBatchRunner.*      — BatchRunner's family collapsing: batched
 //    batches reproduce scalar batches report for report (including retried
 //    attempts — the RetryPolicy re-seeding fix), stats account for lanes,
-//    and the cache-off path stays scalar.
+//    and the cache-off path and a spec without family peers stay scalar.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -683,6 +684,102 @@ TEST(SeedBatchEngine, CrashAndAdviceFlipLanesRetireAtArm) {
   }
 }
 
+/// A reusable algorithm whose constructor fails at the node labelled 5
+/// (node 4 under the default labels 1..n), after the nodes before it are
+/// armed: the pool holds a partial arm when the exception leaves.
+class ThrowMidArmAlgorithm : public Algorithm {
+ public:
+  std::unique_ptr<NodeBehavior> make_behavior(
+      const NodeInput& input) const override {
+    if (input.id == 5) throw std::runtime_error("scripted mid-arm failure");
+    return std::make_unique<ThrowingBehavior>();
+  }
+  std::string name() const override { return "throw-mid-arm"; }
+  bool reusable() const override { return true; }
+};
+
+TEST(SeedBatchEngine, InterleavedRunsOnOneContextMatchFreshContexts) {
+  // The pass, its replays and plain scalar runs share one node plane and
+  // behavior pool. Whatever ran on the context before, each result must
+  // equal the one a fresh context gives.
+  const PortGraph g = fuzz_graph();
+  Rng rng(99);
+  const PortGraph h = make_random_connected(30, 0.2, rng);
+  const TreeWakeupOracle wakeup_oracle;
+  const LightBroadcastOracle broadcast_oracle;
+  const NullOracle null_oracle;
+  const std::vector<BitString> wakeup_advice = wakeup_oracle.advise(g, 3);
+  const std::vector<BitString> broadcast_advice =
+      broadcast_oracle.advise(h, 0);
+  const std::vector<BitString> null_advice = null_oracle.advise(g, 3);
+  const Algorithm* wakeup = algorithm_by_name("wakeup-tree");
+  const Algorithm* broadcast = algorithm_by_name("broadcast-B");
+  const ThrowMidArmAlgorithm mid_arm;
+
+  std::vector<Lane> lanes;
+  for (std::uint64_t l = 0; l < 6; ++l) lanes.push_back({1 + l, 500 + l});
+  RunOptions dropping;
+  dropping.enforce_wakeup = true;
+  dropping.fault.drop = 0.08;
+  RunOptions clean;
+  clean.enforce_wakeup = true;
+  RunOptions faulty;
+  faulty.fault.delay = 0.01;
+  RunOptions async;
+  async.scheduler = SchedulerKind::kAsyncRandom;
+  async.seed = 17;
+
+  SeedBatchExecutionContext shared;
+  const auto fresh_family = [&](const std::vector<BitString>& advice,
+                                const Algorithm& algorithm,
+                                const RunOptions& base) {
+    SeedBatchExecutionContext fresh;
+    return fresh.run(g, 3, advice, algorithm, base, lanes);
+  };
+
+  // 1. A warm pass, then one whose lanes all retire mid-run.
+  EXPECT_EQ(shared.run(g, 3, wakeup_advice, *wakeup, clean, lanes),
+            fresh_family(wakeup_advice, *wakeup, clean));
+  EXPECT_EQ(shared.run(g, 3, wakeup_advice, *wakeup, dropping, lanes),
+            fresh_family(wakeup_advice, *wakeup, dropping));
+  EXPECT_EQ(shared.last_stats().shared, 0u);
+  EXPECT_GT(shared.last_stats().lockstep_events, 0u);
+
+  // 2. A scalar run of another algorithm at another n; then a reliable
+  // scalar run whose constructor throws mid-arm, which propagates, and the
+  // first scalar run again: the pool still named broadcast-B, so it must
+  // have been dropped, not reset() on the partial arm.
+  const RunResult broadcast_run =
+      ExecutionContext().run(h, 0, broadcast_advice, *broadcast, async);
+  EXPECT_EQ(shared.scalar().run(h, 0, broadcast_advice, *broadcast, async),
+            broadcast_run);
+  EXPECT_THROW(shared.scalar().run(g, 3, null_advice, mid_arm, RunOptions{}),
+               std::runtime_error);
+  EXPECT_EQ(shared.scalar().run(h, 0, broadcast_advice, *broadcast, async),
+            broadcast_run);
+
+  // 3. A pass whose behavior constructor throws under faults, mid-arm.
+  const std::vector<RunResult> thrown =
+      shared.run(g, 3, null_advice, mid_arm, faulty, lanes);
+  EXPECT_EQ(thrown, fresh_family(null_advice, mid_arm, faulty));
+  ASSERT_EQ(thrown.size(), lanes.size());
+  EXPECT_EQ(thrown.front().status, RunStatus::kTaskFailed);
+  EXPECT_EQ(shared.last_stats().shared, lanes.size());
+
+  // 4. The pool re-arms cleanly: passes with shared and replayed lanes,
+  // and a scalar run, all match fresh contexts again.
+  EXPECT_EQ(shared.run(g, 3, wakeup_advice, *wakeup, dropping, lanes),
+            fresh_family(wakeup_advice, *wakeup, dropping));
+  RunOptions light = dropping;
+  light.fault.drop = 0.01;
+  EXPECT_EQ(shared.run(g, 3, wakeup_advice, *wakeup, light, lanes),
+            fresh_family(wakeup_advice, *wakeup, light));
+  EXPECT_GT(shared.last_stats().shared, 0u);
+  EXPECT_GT(shared.last_stats().replayed, 0u);
+  EXPECT_EQ(shared.scalar().run(g, 3, wakeup_advice, *wakeup, clean),
+            ExecutionContext().run(g, 3, wakeup_advice, *wakeup, clean));
+}
+
 TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   const PortGraph g = fuzz_graph();
   Rng rng(7);
@@ -700,12 +797,7 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   EXPECT_FALSE(seed_family_key(a) < seed_family_key(b));
   EXPECT_FALSE(seed_family_key(b) < seed_family_key(a));
 
-  TrialSpec c = a;
-  c.options.fault.drop = 0.5;
-  EXPECT_NE(seed_family_key(a), seed_family_key(c));
-  TrialSpec d = a;
-  d.options.scheduler = SchedulerKind::kAsyncLifo;
-  EXPECT_NE(seed_family_key(a), seed_family_key(d));
+  // The spec identity outside RunOptions.
   TrialSpec e = a;
   e.graph = &h;
   EXPECT_NE(seed_family_key(a), seed_family_key(e));
@@ -718,29 +810,81 @@ TEST(SeedFamily, KeyIsSeedBlindAndOtherwiseSensitive) {
   TrialSpec j = a;
   j.algorithm = flooding;
   EXPECT_NE(seed_family_key(a), seed_family_key(j));
-  TrialSpec k = a;
-  k.options.max_events = 123;
-  EXPECT_NE(seed_family_key(a), seed_family_key(k));
   TrialSpec l = a;
   l.advice = std::make_shared<const std::vector<BitString>>(
       oracle.advise(g, 3));
   EXPECT_NE(seed_family_key(a), seed_family_key(l));
 
-  // The Byzantine regime is part of the family identity — INCLUDING its
-  // seed (different adversary seeds mean different colluding sets, which
-  // lockstep could never share even if Byzantine families were eligible).
-  TrialSpec m = a;
-  m.options.adversary.byz_rate = 0.1;
-  EXPECT_NE(seed_family_key(a), seed_family_key(m));
-  TrialSpec n = m;
-  n.options.adversary.seed = 1;
-  EXPECT_NE(seed_family_key(m), seed_family_key(n));
-  TrialSpec o = m;
-  o.options.adversary.strategy = ByzantineStrategy::kStructuredLie;
-  EXPECT_NE(seed_family_key(m), seed_family_key(o));
-  TrialSpec p = m;
-  p.options.adversary.byz_nodes = 3;
-  EXPECT_NE(seed_family_key(m), seed_family_key(p));
+  // Every RunOptions field but the two seeds, changed on its own, splits
+  // the family — under == and under the map's ordering alike. The
+  // Byzantine regime is part of the identity INCLUDING its seed (different
+  // adversary seeds mean different colluding sets, which lockstep could
+  // never share even if Byzantine families were eligible).
+  TraceRecorder recorder(TraceLevel::kMessages);
+  using Change = void (*)(RunOptions&, TraceSink*);
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"scheduler",
+       [](RunOptions& o, TraceSink*) {
+         o.scheduler = SchedulerKind::kAsyncLifo;
+       }},
+      {"max_delay", [](RunOptions& o, TraceSink*) { o.max_delay = 3; }},
+      {"max_messages",
+       [](RunOptions& o, TraceSink*) { o.max_messages = 1000; }},
+      {"enforce_wakeup",
+       [](RunOptions& o, TraceSink*) { o.enforce_wakeup = true; }},
+      {"anonymous", [](RunOptions& o, TraceSink*) { o.anonymous = true; }},
+      {"deadline_ns",
+       [](RunOptions& o, TraceSink*) { o.deadline_ns = 1'000'000; }},
+      {"max_events", [](RunOptions& o, TraceSink*) { o.max_events = 123; }},
+      {"trace_sink",
+       [](RunOptions& o, TraceSink* sink) { o.trace_sink = sink; }},
+      {"fault.drop", [](RunOptions& o, TraceSink*) { o.fault.drop = 0.5; }},
+      {"fault.duplicate",
+       [](RunOptions& o, TraceSink*) { o.fault.duplicate = 0.5; }},
+      {"fault.delay", [](RunOptions& o, TraceSink*) { o.fault.delay = 0.5; }},
+      {"fault.max_extra_delay",
+       [](RunOptions& o, TraceSink*) { o.fault.max_extra_delay = 9; }},
+      {"fault.crash", [](RunOptions& o, TraceSink*) { o.fault.crash = 0.5; }},
+      {"fault.max_crash_key",
+       [](RunOptions& o, TraceSink*) { o.fault.max_crash_key = 9; }},
+      {"fault.crash_source",
+       [](RunOptions& o, TraceSink*) { o.fault.crash_source = true; }},
+      {"fault.advice_flip",
+       [](RunOptions& o, TraceSink*) { o.fault.advice_flip = 0.5; }},
+      {"adversary.seed",
+       [](RunOptions& o, TraceSink*) { o.adversary.seed = 1; }},
+      {"adversary.byz_rate",
+       [](RunOptions& o, TraceSink*) { o.adversary.byz_rate = 0.1; }},
+      {"adversary.byz_nodes",
+       [](RunOptions& o, TraceSink*) { o.adversary.byz_nodes = 3; }},
+      {"adversary.byz_source",
+       [](RunOptions& o, TraceSink*) { o.adversary.byz_source = true; }},
+      {"adversary.strategy",
+       [](RunOptions& o, TraceSink*) {
+         o.adversary.strategy = ByzantineStrategy::kStructuredLie;
+       }},
+      {"adversary.forge",
+       [](RunOptions& o, TraceSink*) { o.adversary.forge = 0.5; }},
+      {"adversary.equivocate",
+       [](RunOptions& o, TraceSink*) { o.adversary.equivocate = 0.5; }},
+      {"adversary.advice_lie",
+       [](RunOptions& o, TraceSink*) { o.adversary.advice_lie = 0.5; }},
+      {"adversary.replay_window",
+       [](RunOptions& o, TraceSink*) { o.adversary.replay_window = 4; }},
+  };
+  const SeedFamilyKey base_key = seed_family_key(a);
+  for (const auto& [field, change] : changes) {
+    TrialSpec x = a;
+    change(x.options, &recorder);
+    const SeedFamilyKey key = seed_family_key(x);
+    EXPECT_NE(base_key, key) << field;
+    EXPECT_TRUE(base_key < key || key < base_key) << field;
+    // Seed-blind still: the changed spec's seeds do not split it further.
+    TrialSpec y = x;
+    y.options.seed = 999;
+    y.options.fault.seed = 777;
+    EXPECT_EQ(key, seed_family_key(y)) << field;
+  }
 }
 
 /// Everything deterministic in a TaskReport (the timing fields are the
@@ -782,7 +926,7 @@ TEST(SeedBatchRunner, BatchedFamilyReproducesScalarBatch) {
       BatchRunner(2).run(specs, &batched_stats);
   BatchStats scalar_stats;
   const std::vector<TaskReport> scalar =
-      BatchRunner(2, true, {}, {}, SeedBatchPolicy{false, 2})
+      BatchRunner(2, true, {}, {}, SeedBatchPolicy{false})
           .run(specs, &scalar_stats);
 
   ASSERT_EQ(batched.size(), scalar.size());
@@ -823,7 +967,7 @@ TEST(SeedBatchRunner, RetriedAttemptsStayInFamilyAndMatchScalar) {
   const std::vector<TaskReport> batched =
       BatchRunner(2, true, retry).run(specs, &batched_stats);
   const std::vector<TaskReport> scalar =
-      BatchRunner(2, true, retry, {}, SeedBatchPolicy{false, 2}).run(specs);
+      BatchRunner(2, true, retry, {}, SeedBatchPolicy{false}).run(specs);
 
   bool any_retried = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -882,11 +1026,12 @@ TEST(SeedBatchRunner, CacheOffTrialsStayScalar) {
   BatchRunner(1, false).run(specs, &no_cache_stats);
   EXPECT_EQ(no_cache_stats.seed_families, 0u);
 
-  SeedBatchPolicy min_lanes;
-  min_lanes.min_lanes = 7;  // family of 6 stays below the routing floor
-  BatchStats floor_stats;
-  BatchRunner(1, true, {}, {}, min_lanes).run(specs, &floor_stats);
-  EXPECT_EQ(floor_stats.seed_families, 0u);
+  // The routing floor: a spec with no family peers stays scalar.
+  const std::vector<TrialSpec> lone(specs.begin(), specs.begin() + 1);
+  BatchStats lone_stats;
+  BatchRunner(1).run(lone, &lone_stats);
+  EXPECT_EQ(lone_stats.seed_families, 0u);
+  EXPECT_EQ(lone_stats.batched_lanes, 0u);
 }
 
 }  // namespace

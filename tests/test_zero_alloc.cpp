@@ -1,12 +1,15 @@
-// Steady-state allocation audit for ExecutionContext::run.
+// Steady-state allocation audit for ExecutionContext::run and
+// SeedBatchExecutionContext::run.
 //
 // Standalone binary (not gtest: the framework's own allocations would
 // pollute the counters). Global operator new is replaced with a counting
 // shim; after warming a context twice, a third run is counted, and the
 // count must be INDEPENDENT of n for the paper's two schemes (wakeup via
-// tree advice, broadcast via scheme B). A per-node allocation in the hot
-// path — behavior churn, per-event vectors, advice copies — shows up as an
-// O(n) gap between the n=256 and n=1024 counts and fails the audit.
+// tree advice, broadcast via scheme B), and for seed families whose
+// lockstep pass and scalar replays share one context's node plane. A
+// per-node allocation in the hot path — behavior churn, per-event vectors,
+// advice copies — shows up as an O(n) gap between the n=256 and n=1024
+// counts and fails the audit.
 // (Counts, not bytes: an n-element vector is one allocation either way;
 // the RunResult's per-node output vectors are a fixed number of calls.)
 #include <atomic>
@@ -21,6 +24,7 @@
 #include "oracle/light_broadcast_oracle.h"
 #include "oracle/tree_wakeup_oracle.h"
 #include "sim/execution_context.h"
+#include "sim/seed_batch_engine.h"
 #include "util/rng.h"
 
 namespace {
@@ -82,6 +86,32 @@ std::size_t count_steady_run(const PortGraph& g,
   return g_news.load();
 }
 
+/// The same audit for a seed family: warm one SeedBatchExecutionContext on
+/// the family, then count one more run() — the lockstep pass plus the
+/// scalar replays of every lane it could not serve, all on one context.
+std::size_t count_steady_family(
+    const PortGraph& g, const std::vector<BitString>& advice,
+    const Algorithm& algorithm, const RunOptions& base,
+    const std::vector<SeedBatchExecutionContext::Lane>& lanes,
+    std::uint32_t& replayed) {
+  SeedBatchExecutionContext context;
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)context.run(g, 0, advice, algorithm, base, lanes);
+  }
+  g_news.store(0);
+  g_counting.store(true);
+  const std::vector<RunResult> results =
+      context.run(g, 0, advice, algorithm, base, lanes);
+  g_counting.store(false);
+  if (results.size() != lanes.size()) {
+    std::fprintf(stderr, "FAIL: %s family returned %zu results\n",
+                 algorithm.name().c_str(), results.size());
+    std::exit(1);
+  }
+  replayed = context.last_stats().replayed;
+  return g_news.load();
+}
+
 int audit() {
   // Same sparse family at two sizes; identical construction seeds so the
   // only variable is n.
@@ -127,6 +157,36 @@ int audit() {
         count_steady_run(big, advice_big, algorithm, zeroed);
     check("wakeup+0byz", z_small, z_big);
     check("0byz==off", w_big, z_big);
+
+    // Seed families on one context: a fault-free family served whole by
+    // the lockstep pass, and a drop family whose diverged lanes replay on
+    // the pass's node plane and behavior pool.
+    std::vector<SeedBatchExecutionContext::Lane> lanes;
+    for (std::uint64_t l = 0; l < 16; ++l) lanes.push_back({1, 100 + l});
+    std::uint32_t replay_small = 0;
+    std::uint32_t replay_big = 0;
+    check("family",
+          count_steady_family(small, advice_small, algorithm, opts, lanes,
+                              replay_small),
+          count_steady_family(big, advice_big, algorithm, opts, lanes,
+                              replay_big));
+    RunOptions dropping = opts;
+    dropping.fault.drop = 0.0005;
+    const std::size_t d_small = count_steady_family(
+        small, advice_small, algorithm, dropping, lanes, replay_small);
+    const std::size_t d_big = count_steady_family(
+        big, advice_big, algorithm, dropping, lanes, replay_big);
+    check("family+drop", d_small, d_big);
+    // The audit covers replays only if both sizes mix shared and replayed
+    // lanes.
+    const auto mixed = [&lanes](std::uint32_t replayed) {
+      return replayed > 0 && replayed < lanes.size();
+    };
+    if (!mixed(replay_small) || !mixed(replay_big)) {
+      std::printf("FAIL: drop family replayed %u / %u of %zu lanes\n",
+                  replay_small, replay_big, lanes.size());
+      ++failures;
+    }
   }
   {
     const LightBroadcastOracle oracle;
