@@ -286,18 +286,19 @@ TaskReport run_trial(const TrialSpec& spec, const PreparedAdvice& prep,
 
 }  // namespace
 
+std::size_t resolve_jobs(std::size_t jobs) {
+  if (jobs != 0) return jobs;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 BatchRunner::BatchRunner(std::size_t jobs, bool advice_cache,
                          RetryPolicy retry, RetiredPolicy,
                          SeedBatchPolicy seed_batch)
-    : jobs_(jobs),
+    : jobs_(resolve_jobs(jobs)),
       advice_cache_(advice_cache),
       retry_(retry),
-      seed_batch_(seed_batch) {
-  if (jobs_ == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs_ = hw == 0 ? 1 : hw;
-  }
-}
+      seed_batch_(seed_batch) {}
 
 std::vector<TaskReport> BatchRunner::run(const std::vector<TrialSpec>& specs,
                                          BatchStats* stats) const {
@@ -410,15 +411,15 @@ std::vector<TaskReport> BatchRunner::run_impl(
   // Fault-isolated trial execution with bounded, deterministically
   // re-seeded retry. Only the worker that claimed trial i touches
   // errors[i]/results[i], so no synchronization beyond the join is needed.
-  auto run_one = [&](std::size_t i, ExecutionContext& context) {
-    if (errors[i]) {
-      // The advise() pre-pass already failed this spec; advise failures
-      // are deterministic in the spec, so retrying cannot help.
-      results[i] = error_report(specs[i], what_of(errors[i]));
-      return;
-    }
+  //
+  // settle_scalar plays spec i's attempts from `attempt` on, whose seeds
+  // the caller has already shifted to that attempt, until one settles.
+  auto settle_scalar = [&](std::size_t i, std::uint64_t seed,
+                           std::uint64_t fault_seed, std::uint32_t attempt,
+                           ExecutionContext& context) {
     TrialSpec spec = specs[i];
-    std::uint32_t attempt = 0;
+    spec.options.seed = seed;
+    spec.options.fault.seed = fault_seed;
     while (true) {
       TaskReport report;
       try {
@@ -441,6 +442,16 @@ std::vector<TaskReport> BatchRunner::run_impl(
       spec.options.seed += retry_.reseed_stride;
       spec.options.fault.seed += retry_.reseed_stride;
     }
+  };
+  auto run_one = [&](std::size_t i, ExecutionContext& context) {
+    if (errors[i]) {
+      // The advise() pre-pass already failed this spec; advise failures
+      // are deterministic in the spec, so retrying cannot help.
+      results[i] = error_report(specs[i], what_of(errors[i]));
+      return;
+    }
+    settle_scalar(i, specs[i].options.seed, specs[i].options.fault.seed, 0,
+                  context);
   };
 
   // Group the batch by seed family: specs identical up to their seeds
@@ -512,8 +523,21 @@ std::vector<TaskReport> BatchRunner::run_impl(
         lanes.push_back({ls.seed, ls.fault_seed});
       }
       const auto started = std::chrono::steady_clock::now();
-      engine.run_lockstep(*proto.graph, proto.source, *advice,
-                           *proto.algorithm, base, lanes, disp);
+      try {
+        engine.run_lockstep(*proto.graph, proto.source, *advice,
+                             *proto.algorithm, base, lanes, disp);
+      } catch (...) {
+        // A precondition error (carried advice of the wrong size) throws
+        // before any lane of the pass settles. Settle every pending lane
+        // scalar instead, where the error becomes the failed report — and
+        // the retry sequence — a lone spec gets.
+        for (const LaneState& ls : pending) {
+          settle_scalar(ls.spec, ls.seed, ls.fault_seed, ls.attempt,
+                        engine.scalar());
+          if (shard != nullptr) shard->observe(results[ls.spec]);
+        }
+        return;
+      }
       const std::uint64_t lockstep_ns = elapsed_ns(started);
       std::size_t shared_count = 0;
       for (const auto d : disp) {

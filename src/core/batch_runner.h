@@ -168,6 +168,10 @@ struct SeedBatchPolicy {
   bool enabled = true;
 };
 
+/// A worker count as BatchRunner and oracled read it: `jobs`, with 0
+/// resolved to the hardware concurrency (1 where that is unknown).
+std::size_t resolve_jobs(std::size_t jobs);
+
 class BatchRunner {
  public:
   /// `jobs` = number of worker threads; 0 picks the hardware concurrency.

@@ -65,8 +65,9 @@ void best_effort_write(int fd, std::string_view data) {
 
 AdviceService::AdviceService(ServiceConfig config)
     : config_(std::move(config)),
+      dispatcher_count_(resolve_jobs(config_.jobs)),
       cache_(config_.cache_budget_bytes),
-      runner_(config_.jobs),
+      runner_(1),
       requests_total_(registry_.counter("oracled_requests_total")),
       requests_ping_(registry_.counter("oracled_requests_ping")),
       requests_upload_(registry_.counter("oracled_requests_upload")),
@@ -109,9 +110,21 @@ void AdviceService::start() {
     throw;
   }
   started_ = true;
-  acceptor_ = std::thread(&AdviceService::acceptor_loop, this);
-  dispatcher_ = std::thread(&AdviceService::dispatcher_loop, this);
-  exposer_ = std::thread(&AdviceService::exposer_loop, this);
+  try {
+    acceptor_ = std::thread(&AdviceService::acceptor_loop, this);
+    dispatcher_threads_.reserve(dispatcher_count_);
+    for (std::size_t d = 0; d < dispatcher_count_; ++d) {
+      dispatcher_threads_.emplace_back(&AdviceService::dispatcher_loop, this);
+    }
+    exposer_ = std::thread(&AdviceService::exposer_loop, this);
+  } catch (...) {
+    // A thread failed to start: drain and join the ones that did, close
+    // and unlink both sockets, and leave the service unstarted.
+    shutdown();
+    wait();
+    started_ = false;
+    throw;
+  }
 }
 
 void AdviceService::shutdown() {
@@ -124,8 +137,8 @@ void AdviceService::shutdown() {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::shutdown(metrics_fd_, SHUT_RDWR);
     {
-      // Close the queue (new enqueues answer "draining") and release a
-      // paused dispatcher so it drains what is already queued.
+      // Close the queue (new enqueues answer "draining") and release
+      // paused dispatchers so they drain what is already queued.
       std::lock_guard<std::mutex> lock(queue_mu_);
       queue_closed_ = true;
       paused_ = false;
@@ -158,7 +171,8 @@ void AdviceService::wait() {
   if (joined_) return;
   joined_ = true;
   if (acceptor_.joinable()) acceptor_.join();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& t : dispatcher_threads_) t.join();
+  dispatcher_threads_.clear();
   std::vector<std::thread> conns;
   {
     std::lock_guard<std::mutex> conn_lock(conn_mu_);
@@ -348,7 +362,7 @@ ServiceResponse AdviceService::handle_frame(const std::string& payload) {
                 static_cast<std::uint64_t>(queue_depth()));
       append_kv(out, "queue_limit",
                 static_cast<std::uint64_t>(config_.queue_limit));
-      append_kv(out, "jobs", static_cast<std::uint64_t>(runner_.jobs()));
+      append_kv(out, "jobs", static_cast<std::uint64_t>(dispatcher_count_));
       return ServiceResponse{kStatusOk, std::move(out)};
     }
     default:
@@ -487,9 +501,20 @@ void AdviceService::execute_batch(std::vector<Pending> batch) {
   }
   if (specs.empty()) return;
 
-  // One BatchRunner pass serves the whole micro-batch; trials are
-  // fault-isolated, so one poisoned request cannot take down its batch.
-  const std::vector<TaskReport> reports = runner_.run(specs);
+  // One BatchRunner pass serves the whole micro-batch, inline on this
+  // dispatcher; trials are fault-isolated, so one poisoned request cannot
+  // take down its batch. Anything run() still throws is answered to the
+  // batch's runs: escaping the dispatcher thread would end the daemon.
+  std::vector<TaskReport> reports;
+  try {
+    reports = runner_.run(specs);
+  } catch (const std::exception& e) {
+    for (Item* item : run_items) {
+      item->pending.promise.set_value(
+          error_response(std::string("run failed: ") + e.what()));
+    }
+    return;
+  }
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const TaskReport& report = reports[i];
     Pending& p = run_items[i]->pending;

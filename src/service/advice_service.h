@@ -10,10 +10,15 @@
 // Threads:
 //  * an ACCEPTOR listening on a unix stream socket, one CONNECTION thread
 //    per client speaking the service/protocol.h framing;
-//  * a DISPATCHER that pops bounded-queue work in small batches, resolves
-//    advice through the shared AdviceCache (the shared_ptr rides in
-//    TrialSpec::advice, so an entry evicted mid-flight stays alive for its
-//    holders), and executes run requests on the existing BatchRunner pool;
+//  * `jobs` DISPATCHERS (0 = hardware concurrency), each popping a
+//    micro-batch from the one bounded queue and executing it on its own
+//    thread: advice resolves through the shared AdviceCache (the
+//    shared_ptr rides in TrialSpec::advice, so an entry evicted mid-flight
+//    stays alive for its holders), and the batch's run requests execute
+//    inline on a one-worker BatchRunner, so no batch starts threads and at
+//    most `jobs` executions run at once. The cache, the graph store and
+//    the metric instruments are thread-safe, and BatchRunner::run is const
+//    and reentrant, so dispatchers share them without further locking;
 //  * a METRICS EXPOSER answering HTTP GETs on <socket>.metrics with the
 //    Prometheus text rendition of the service's MetricsRegistry.
 //
@@ -24,8 +29,9 @@
 // stops, queued work completes, responses flush, then the threads join.
 //
 // Identity contract: a run answered by the service is field-identical to
-// the same TrialSpec executed directly on a BatchRunner — the dispatcher
-// adds queueing and caching around the execution, never inside it.
+// the same TrialSpec executed directly on a BatchRunner — the dispatchers
+// add queueing and caching around the execution, never inside it, and a
+// BatchRunner's results do not depend on its worker count.
 // tests/test_service.cpp checks it per request; perfbench's `service`
 // workload checks every reply under concurrent load with the LRU cache
 // below its working set.
@@ -56,7 +62,9 @@ struct ServiceConfig {
   std::string socket_path;
   /// Unix socket of the HTTP metrics exposer; "" = socket_path + ".metrics".
   std::string metrics_socket_path;
-  std::size_t jobs = 1;  ///< BatchRunner workers; 0 = hardware concurrency
+  /// Dispatcher threads, each executing its own micro-batches; 0 =
+  /// hardware concurrency.
+  std::size_t jobs = 1;
   /// AdviceCache byte budget; 0 = unbounded (no eviction).
   std::uint64_t cache_budget_bytes = 0;
   std::size_t queue_limit = 256;  ///< pending advise/run requests
@@ -96,6 +104,9 @@ class AdviceService {
 
   const ServiceConfig& config() const noexcept { return config_; }
   bool started() const noexcept { return started_; }
+  /// The dispatcher count: config().jobs, with 0 resolved to the hardware
+  /// concurrency.
+  std::size_t dispatchers() const noexcept { return dispatcher_count_; }
 
   // ---- Introspection (tests, bench, the Stats opcode) ----
   AdviceCache::Stats cache_stats() const { return cache_.stats(); }
@@ -106,10 +117,11 @@ class AdviceService {
   /// and queue depth.
   std::string metrics_text() const;
 
-  /// Test/bench seam: holds the dispatcher before its next pop so a
+  /// Test/bench seam: holds every dispatcher before its next pop so a
   /// harness can stage queue contents deterministically (fill to the
-  /// limit for an overload, let a deadline lapse). resume_dispatching()
-  /// releases it. Shutdown also releases a paused dispatcher.
+  /// limit for an overload, let a deadline lapse); a batch already popped
+  /// still completes. resume_dispatching() releases them. Shutdown also
+  /// releases paused dispatchers.
   void pause_dispatching();
   void resume_dispatching();
 
@@ -130,16 +142,17 @@ class AdviceService {
   void exposer_loop();
 
   /// Handles one decoded request frame on a connection thread. Queued
-  /// opcodes (advise/run) block on the dispatcher's response future.
+  /// opcodes (advise/run) block on a dispatcher's response future.
   ServiceResponse handle_frame(const std::string& payload);
   ServiceResponse enqueue_and_wait(bool is_run, const std::string& body);
   void execute_batch(std::vector<Pending> batch);
   static ServiceResponse error_response(const std::string& message);
 
   ServiceConfig config_;
+  const std::size_t dispatcher_count_;
   GraphStore store_;
   AdviceCache cache_;
-  BatchRunner runner_;
+  BatchRunner runner_;  ///< one worker: each dispatcher runs its batch inline
   MetricsRegistry registry_;
 
   // Instruments, registered before any worker starts (stable references).
@@ -181,7 +194,7 @@ class AdviceService {
   std::vector<int> conn_fds_;
 
   std::thread acceptor_;
-  std::thread dispatcher_;
+  std::vector<std::thread> dispatcher_threads_;
   std::thread exposer_;
 
   std::mutex join_mu_;

@@ -2,9 +2,10 @@
 # End-to-end smoke test of the oracled daemon, run by ctest. Arguments:
 # paths to the oracled, oracled_ctl, and oraclesize_cli binaries.
 #
-# Exercises the daemon as a black box: socket bring-up, upload/advise/run
-# round trips, the 0/1/2 exit ladder through oracled_ctl, malformed-frame
-# rejection, the Prometheus scrape endpoint, and a clean drain on shutdown.
+# Exercises the daemon as a black box, with two dispatcher threads: socket
+# bring-up, upload/advise/run round trips, the 0/1/2 exit ladder through
+# oracled_ctl, malformed-frame rejection, the Prometheus scrape endpoint,
+# and a clean drain on shutdown.
 set -euo pipefail
 
 ORACLED="$1"
@@ -17,7 +18,7 @@ trap '[ -n "$DPID" ] && kill "$DPID" 2>/dev/null; rm -rf "$TMP"' EXIT
 
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
-"$ORACLED" --socket "$SOCK" --jobs 1 > "$TMP/daemon.log" 2>&1 &
+"$ORACLED" --socket "$SOCK" --jobs 2 > "$TMP/daemon.log" 2>&1 &
 DPID=$!
 for _ in $(seq 1 100); do
   [ -S "$SOCK" ] && break
@@ -150,7 +151,9 @@ grep -q '^oracled_request_latency_ns_bucket{le="+Inf"}' "$TMP/metrics.txt" \
   || fail "latency histogram"
 
 # Stats agrees with the scrape.
-"$CTL" --socket "$SOCK" stats | grep -q '^cache_hits=' || fail "stats"
+"$CTL" --socket "$SOCK" stats > "$TMP/stats.txt" || fail "stats"
+grep -q '^cache_hits=' "$TMP/stats.txt" || fail "stats cache_hits"
+grep -q '^jobs=2$' "$TMP/stats.txt" || fail "stats jobs (dispatchers)"
 
 # Shutdown request: acknowledged, daemon drains and exits 0, socket gone.
 "$CTL" --socket "$SOCK" shutdown | grep -q '^draining=1$' || fail "shutdown ack"
@@ -161,6 +164,7 @@ set -e
 DPID=""
 [ "$rc" -eq 0 ] || fail "daemon should exit 0 after drain (got $rc)"
 grep -q 'drained cleanly' "$TMP/daemon.log" || fail "drain banner"
+grep -q 'jobs: 2,' "$TMP/daemon.log" || fail "startup line jobs"
 [ ! -S "$SOCK" ] || fail "socket not unlinked on exit"
 
 echo "service smoke: all checks passed"

@@ -186,6 +186,71 @@ TEST(BatchRunner, BadSourceIsIsolatedToItsTrial) {
   EXPECT_THROW(BatchRunner(1).run_rethrow(specs), std::invalid_argument);
 }
 
+TEST(BatchRunner, WrongSizeAdviceFamilyFailsEachLaneLikeALoneSpec) {
+  // Specs identical up to their seeds that carry one advice vector form a
+  // seed family; advice of the wrong size makes the lockstep pass throw
+  // before any lane settles. Each lane must still get the failed report —
+  // retries included — that the same spec gets alone, and the batch
+  // around the family must run normally.
+  const PortGraph g = make_path(5);
+  const NullOracle oracle;
+  const FloodingAlgorithm algorithm;
+  const AdvicePtr wrong_size =
+      std::make_shared<const std::vector<BitString>>(3);
+  std::vector<TrialSpec> specs;
+  specs.push_back(TrialSpec{&g, 0, &oracle, &algorithm, RunOptions{}});
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RunOptions options;
+    options.seed = seed;
+    specs.push_back(
+        TrialSpec{&g, 0, &oracle, &algorithm, options, wrong_size});
+  }
+  specs.push_back(TrialSpec{&g, 999, &oracle, &algorithm, RunOptions{}});
+
+  RetryPolicy retry;
+  retry.max_retries = 2;
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    const BatchRunner runner(jobs, true, retry);
+    BatchStats stats;
+    const auto reports = runner.run(specs, &stats);
+    ASSERT_EQ(reports.size(), specs.size()) << "jobs=" << jobs;
+    EXPECT_EQ(stats.seed_families, 1u) << "jobs=" << jobs;
+    EXPECT_EQ(stats.batched_lanes, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(stats.failed, 4u) << "jobs=" << jobs;
+    EXPECT_TRUE(reports[0].ok()) << "jobs=" << jobs;
+    for (std::size_t i = 1; i <= 3; ++i) {
+      const TaskReport lone = BatchRunner(1, true, retry).run({specs[i]})[0];
+      ASSERT_TRUE(lone.failed());
+      EXPECT_NE(lone.error.find("advice size"), std::string::npos)
+          << lone.error;
+      EXPECT_EQ(reports[i].error, lone.error) << "jobs=" << jobs << " " << i;
+      EXPECT_EQ(reports[i].run.status, RunStatus::kCrashed);
+      EXPECT_EQ(reports[i].attempts, lone.attempts) << "jobs=" << jobs;
+      EXPECT_EQ(reports[i].attempts, 3u);
+    }
+    EXPECT_TRUE(reports[4].failed()) << "jobs=" << jobs;
+
+    // run_rethrow rethrows the lowest-index error: the family's, until the
+    // family moves behind the bad-source spec.
+    try {
+      runner.run_rethrow(specs);
+      ADD_FAILURE() << "run_rethrow did not throw, jobs=" << jobs;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("advice size"), std::string::npos)
+          << e.what();
+    }
+    std::vector<TrialSpec> reordered = specs;
+    std::swap(reordered[0], reordered[4]);
+    try {
+      runner.run_rethrow(reordered);
+      ADD_FAILURE() << "run_rethrow did not throw, jobs=" << jobs;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad source"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(BatchRunner, EmptyBatchIsEmpty) {
   EXPECT_TRUE(BatchRunner(4).run({}).empty());
 }

@@ -1,9 +1,11 @@
 // End-to-end tests of the advice service (src/service/): the frame
 // protocol, content-addressed uploads, the run identity contract against a
-// direct BatchRunner, malformed-frame rejection, backpressure, queue
-// deadlines, graceful drain, and the Prometheus exposer. Every test runs
-// an in-process AdviceService on a throwaway unix socket under /tmp (the
-// 108-char sun_path limit rules out deep build trees).
+// direct BatchRunner (also under concurrent clients), malformed-frame
+// rejection, backpressure, queue deadlines, graceful drain, and the
+// Prometheus exposer. The round-trip and flow tests run at one dispatcher
+// and at four. Every test runs an in-process AdviceService on a throwaway
+// unix socket under /tmp (the 108-char sun_path limit rules out deep build
+// trees).
 #include "service/advice_service.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "graph/io.h"
 #include "service/client.h"
 #include "sim/metrics_registry.h"
+#include "util/rng.h"
 
 namespace oraclesize::service {
 namespace {
@@ -74,11 +77,52 @@ class ServiceFixture {
   std::unique_ptr<AdviceService> service_;
 };
 
+/// Runs `check` against a fresh service built from `config` at each of
+/// these dispatcher counts: one, and several contending for the one queue.
+constexpr std::size_t kDispatcherCounts[] = {1, 4};
+
+template <typename Check>
+void at_each_dispatcher_count(ServiceConfig config, Check check) {
+  for (const std::size_t jobs : kDispatcherCounts) {
+    SCOPED_TRACE("dispatchers: " + std::to_string(jobs));
+    config.jobs = jobs;
+    ServiceFixture fx(config);
+    check(fx);
+  }
+}
+
 std::string upload_grid(ServiceClient& client, std::size_t rows,
                         std::size_t cols) {
   const auto reply = client.upload(to_text(make_grid(rows, cols)));
   EXPECT_TRUE(reply.ok()) << reply.body;
   return reply.field("digest");
+}
+
+/// The identity contract: every result-bearing field of a run reply equals
+/// the direct execution `want`, bit for bit.
+void expect_reply_matches(const ServiceClient::Reply& reply,
+                          const TaskReport& want, const std::string& label) {
+  EXPECT_EQ(reply.field("status"), to_string(want.run.status)) << label;
+  EXPECT_EQ(reply.field("oracle"), want.oracle_name) << label;
+  EXPECT_EQ(reply.field("algorithm"), want.algorithm_name) << label;
+  EXPECT_EQ(reply.field_u64("oracle_bits"), want.oracle_bits) << label;
+  EXPECT_EQ(reply.field_u64("max_advice_bits"), want.max_advice_bits)
+      << label;
+  EXPECT_EQ(reply.field_u64("messages_total"),
+            want.run.metrics.messages_total)
+      << label;
+  EXPECT_EQ(reply.field_u64("bits_sent"), want.run.metrics.bits_sent)
+      << label;
+  EXPECT_EQ(reply.field_u64("deliveries"), want.run.metrics.deliveries)
+      << label;
+  EXPECT_EQ(reply.field_u64("completion_key"),
+            want.run.metrics.completion_key)
+      << label;
+  EXPECT_EQ(reply.field_u64("informed"),
+            static_cast<std::uint64_t>(want.run.informed_count()))
+      << label;
+  EXPECT_EQ(reply.status, want.ok() ? kStatusOk : kStatusTaskFailed)
+      << label;
 }
 
 /// The request frame for an advise/run body, built the same way the client
@@ -114,130 +158,215 @@ TEST(ServiceProtocol, DigestAndKvPrimitives) {
 }
 
 TEST(ServiceRoundTrip, PingUploadAdviseRunStats) {
-  ServiceFixture fx;
-  ServiceClient client(fx.socket_path());
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient client(fx.socket_path());
 
-  const auto pong = client.ping();
-  ASSERT_TRUE(pong.ok());
-  EXPECT_EQ(pong.field("service"), "oracled");
+    const auto pong = client.ping();
+    ASSERT_TRUE(pong.ok());
+    EXPECT_EQ(pong.field("service"), "oracled");
 
-  const std::string text = to_text(make_grid(6, 6));
-  const auto up1 = client.upload(text);
-  ASSERT_TRUE(up1.ok()) << up1.body;
-  EXPECT_EQ(up1.field_u64("fresh"), 1u);
-  EXPECT_EQ(up1.field_u64("nodes"), 36u);
-  const std::string digest = up1.field("digest");
-  ASSERT_EQ(digest.size(), 16u);
+    const std::string text = to_text(make_grid(6, 6));
+    const auto up1 = client.upload(text);
+    ASSERT_TRUE(up1.ok()) << up1.body;
+    EXPECT_EQ(up1.field_u64("fresh"), 1u);
+    EXPECT_EQ(up1.field_u64("nodes"), 36u);
+    const std::string digest = up1.field("digest");
+    ASSERT_EQ(digest.size(), 16u);
 
-  // Content addressing: a re-upload and a cosmetic variant (leading
-  // comment, trailing blank lines) both land on the same digest.
-  const auto up2 = client.upload(text);
-  EXPECT_EQ(up2.field_u64("fresh"), 0u);
-  EXPECT_EQ(up2.field("digest"), digest);
-  const auto up3 = client.upload("# a comment\n" + text + "\n\n");
-  EXPECT_EQ(up3.field("digest"), digest);
-  EXPECT_EQ(fx.service().graphs_resident(), 1u);
+    // Content addressing: a re-upload and a cosmetic variant (leading
+    // comment, trailing blank lines) both land on the same digest.
+    const auto up2 = client.upload(text);
+    EXPECT_EQ(up2.field_u64("fresh"), 0u);
+    EXPECT_EQ(up2.field("digest"), digest);
+    const auto up3 = client.upload("# a comment\n" + text + "\n\n");
+    EXPECT_EQ(up3.field("digest"), digest);
+    EXPECT_EQ(fx.service().graphs_resident(), 1u);
 
-  TaskRequest req;
-  req.digest = digest;
-  req.task = "wakeup";
-  const auto advised = client.advise(req);
-  ASSERT_TRUE(advised.ok()) << advised.body;
-  EXPECT_GT(advised.field_u64("oracle_bits"), 0u);
-  EXPECT_EQ(advised.field_u64("cached"), 0u);
-  const auto advised_again = client.advise(req);
-  EXPECT_EQ(advised_again.field_u64("cached"), 1u);
-  EXPECT_EQ(advised_again.field_u64("oracle_bits"),
-            advised.field_u64("oracle_bits"));
+    TaskRequest req;
+    req.digest = digest;
+    req.task = "wakeup";
+    const auto advised = client.advise(req);
+    ASSERT_TRUE(advised.ok()) << advised.body;
+    EXPECT_GT(advised.field_u64("oracle_bits"), 0u);
+    EXPECT_EQ(advised.field_u64("cached"), 0u);
+    const auto advised_again = client.advise(req);
+    EXPECT_EQ(advised_again.field_u64("cached"), 1u);
+    EXPECT_EQ(advised_again.field_u64("oracle_bits"),
+              advised.field_u64("oracle_bits"));
 
-  const auto ran = client.run(req);
-  ASSERT_TRUE(ran.ok()) << ran.body;
-  EXPECT_EQ(ran.field("status"), "completed");
-  EXPECT_EQ(ran.field_u64("advice_cached"), 1u);  // advise() warmed it
-  EXPECT_EQ(ran.field_u64("all_informed"), 1u);
+    const auto ran = client.run(req);
+    ASSERT_TRUE(ran.ok()) << ran.body;
+    EXPECT_EQ(ran.field("status"), "completed");
+    EXPECT_EQ(ran.field_u64("advice_cached"), 1u);  // advise() warmed it
+    EXPECT_EQ(ran.field_u64("all_informed"), 1u);
 
-  const auto stats = client.stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.field_u64("graphs"), 1u);
-  EXPECT_GE(stats.field_u64("cache_hits"), 2u);
-  EXPECT_EQ(stats.field_u64("jobs"), 1u);
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.field_u64("graphs"), 1u);
+    EXPECT_GE(stats.field_u64("cache_hits"), 2u);
+    EXPECT_EQ(stats.field_u64("jobs"), fx.service().config().jobs);
+  });
 }
 
 TEST(ServiceRoundTrip, RepeatRunsHitTheWarmAdvice) {
   // With the unbounded cache, N runs of one spec advise once: N - 1 hits,
   // a hit rate of (N - 1) / N. Each reply's advice_cached says whether its
   // own lookup hit: 0 for the first run of the fresh spec, 1 afterwards.
-  ServiceFixture fx;
-  ServiceClient client(fx.socket_path());
-  TaskRequest req;
-  req.digest = upload_grid(client, 6, 6);
-  req.task = "broadcast";
-  constexpr std::uint64_t kRuns = 8;
-  for (std::uint64_t i = 0; i < kRuns; ++i) {
-    const auto ran = client.run(req);
-    ASSERT_TRUE(ran.ok()) << ran.body;
-    EXPECT_EQ(ran.field_u64("advice_cached"), i == 0 ? 0u : 1u) << i;
-  }
-  const auto stats = client.stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.field_u64("cache_hits"), kRuns - 1);
-  EXPECT_EQ(stats.field_u64("cache_misses"), 1u);
-  EXPECT_EQ(stats.field_u64("cache_evictions"), 0u);
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient client(fx.socket_path());
+    TaskRequest req;
+    req.digest = upload_grid(client, 6, 6);
+    req.task = "broadcast";
+    constexpr std::uint64_t kRuns = 8;
+    for (std::uint64_t i = 0; i < kRuns; ++i) {
+      const auto ran = client.run(req);
+      ASSERT_TRUE(ran.ok()) << ran.body;
+      EXPECT_EQ(ran.field_u64("advice_cached"), i == 0 ? 0u : 1u) << i;
+    }
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.field_u64("cache_hits"), kRuns - 1);
+    EXPECT_EQ(stats.field_u64("cache_misses"), 1u);
+    EXPECT_EQ(stats.field_u64("cache_evictions"), 0u);
+  });
 }
 
 TEST(ServiceRoundTrip, RunMatchesDirectBatchRunner) {
-  ServiceFixture fx;
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient client(fx.socket_path());
+    const PortGraph g = make_grid(6, 6);
+    const auto up = client.upload(to_text(g));
+    ASSERT_TRUE(up.ok());
+
+    std::vector<TaskRequest> requests;
+    for (const char* task : {"wakeup", "broadcast", "flooding", "census"}) {
+      TaskRequest req;
+      req.digest = up.field("digest");
+      req.task = task;
+      req.source = 7;
+      req.scheduler = "fifo";
+      req.seed = 11;
+      requests.push_back(req);
+    }
+    requests.push_back(requests[2]);
+    requests.back().fault_drop = 0.2;  // a faulty flooding run
+    requests.back().fault_seed = 5;
+
+    BatchRunner direct(1);
+    for (const auto& req : requests) {
+      const auto reply = client.run(req);
+      ASSERT_LE(reply.status, kStatusTaskFailed) << reply.body;
+
+      const TaskBinding binding = bind_task(req);
+      const auto reports = direct.run(
+          {TrialSpec(&g, req.source, binding.oracle.get(), binding.algorithm,
+                     run_options_for(req))});
+      ASSERT_EQ(reports.size(), 1u);
+      const TaskReport& want = reports[0];
+      ASSERT_FALSE(want.failed()) << want.error;
+      expect_reply_matches(reply, want, req.task);
+    }
+  });
+}
+
+TEST(ServiceRoundTrip, StatsReportsResolvedDispatcherCount) {
+  // jobs = 0 resolves to the hardware concurrency, as BatchRunner's does;
+  // Stats reports the dispatchers actually running.
+  ServiceConfig config;
+  config.jobs = 0;
+  ServiceFixture fx(std::move(config));
+  EXPECT_EQ(fx.service().dispatchers(), resolve_jobs(0));
+  EXPECT_GE(fx.service().dispatchers(), 1u);
   ServiceClient client(fx.socket_path());
-  const PortGraph g = make_grid(6, 6);
-  const auto up = client.upload(to_text(g));
-  ASSERT_TRUE(up.ok());
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.field_u64("jobs"), fx.service().dispatchers());
+}
 
-  std::vector<TaskRequest> requests;
-  for (const char* task : {"wakeup", "broadcast", "flooding", "census"}) {
-    TaskRequest req;
-    req.digest = up.field("digest");
-    req.task = task;
-    req.source = 7;
-    req.scheduler = "fifo";
-    req.seed = 11;
-    requests.push_back(req);
+TEST(ServiceConcurrency, MixedClientsMatchDirectBatchRunner) {
+  // Eight client threads send interleaved run and advise requests over
+  // three graphs, four tasks, two sources and a faulty variant, while the
+  // LRU budget holds a third of the advice working set: dispatchers race
+  // on the same cache keys, hit, miss and evict. Every run reply must
+  // still equal a direct BatchRunner run, and every advise reply its
+  // oracle size.
+  Rng rng(3);
+  const std::vector<PortGraph> graphs = {
+      make_grid(6, 6), make_torus(4, 5), make_random_connected(24, 0.2, rng)};
+  std::vector<TaskRequest> pool;
+  std::vector<std::size_t> pool_graph;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (const char* task : {"wakeup", "broadcast", "flooding", "census"}) {
+      for (const NodeId source : {NodeId{0}, NodeId{5}}) {
+        TaskRequest req;
+        req.task = task;
+        req.source = source;
+        req.scheduler = "random";
+        req.seed = 7 + gi;
+        pool.push_back(req);
+        pool_graph.push_back(gi);
+      }
+    }
+    pool.push_back(pool.back());
+    pool.back().fault_drop = 0.1;
+    pool.back().fault_seed = 3;
+    pool_graph.push_back(gi);
   }
-  requests.push_back(requests[2]);
-  requests.back().fault_drop = 0.2;  // a faulty flooding run
-  requests.back().fault_seed = 5;
 
-  BatchRunner direct(1);
-  for (const auto& req : requests) {
-    const auto reply = client.run(req);
-    ASSERT_LE(reply.status, kStatusTaskFailed) << reply.body;
-
-    const TaskBinding binding = bind_task(req);
-    const auto reports = direct.run(
-        {TrialSpec(&g, req.source, binding.oracle.get(), binding.algorithm,
-                   run_options_for(req))});
-    ASSERT_EQ(reports.size(), 1u);
-    const TaskReport& want = reports[0];
-    ASSERT_FALSE(want.failed()) << want.error;
-
-    // The identity contract: every result-bearing field the service
-    // reports equals the direct execution, bit for bit.
-    EXPECT_EQ(reply.field("status"), to_string(want.run.status)) << req.task;
-    EXPECT_EQ(reply.field("oracle"), want.oracle_name);
-    EXPECT_EQ(reply.field("algorithm"), want.algorithm_name);
-    EXPECT_EQ(reply.field_u64("oracle_bits"), want.oracle_bits) << req.task;
-    EXPECT_EQ(reply.field_u64("max_advice_bits"), want.max_advice_bits);
-    EXPECT_EQ(reply.field_u64("messages_total"),
-              want.run.metrics.messages_total)
-        << req.task;
-    EXPECT_EQ(reply.field_u64("bits_sent"), want.run.metrics.bits_sent);
-    EXPECT_EQ(reply.field_u64("deliveries"), want.run.metrics.deliveries);
-    EXPECT_EQ(reply.field_u64("completion_key"),
-              want.run.metrics.completion_key)
-        << req.task;
-    EXPECT_EQ(reply.field_u64("informed"),
-              static_cast<std::uint64_t>(want.run.informed_count()));
-    EXPECT_EQ(reply.status, want.ok() ? kStatusOk : kStatusTaskFailed);
+  std::vector<TaskReport> want;
+  AdviceCache working_set;
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    const PortGraph& g = graphs[pool_graph[k]];
+    const TaskBinding binding = bind_task(pool[k]);
+    want.push_back(BatchRunner(1).run(
+        {TrialSpec(&g, pool[k].source, binding.oracle.get(),
+                   binding.algorithm, run_options_for(pool[k]))})[0]);
+    ASSERT_FALSE(want.back().failed()) << want.back().error;
+    working_set.lookup(g, *binding.oracle, pool[k].source);
   }
+
+  ServiceConfig config;
+  config.cache_budget_bytes = working_set.bytes() / 3;
+  at_each_dispatcher_count(config, [&](ServiceFixture& fx) {
+    std::vector<std::string> digests;
+    {
+      ServiceClient uploader(fx.socket_path());
+      for (const PortGraph& g : graphs) {
+        const auto up = uploader.upload(to_text(g));
+        ASSERT_TRUE(up.ok()) << up.body;
+        digests.push_back(up.field("digest"));
+      }
+    }
+    constexpr std::size_t kClients = 8;
+    constexpr std::size_t kRequestsPerClient = 40;
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        ServiceClient client(fx.socket_path());
+        for (std::size_t r = 0; r < kRequestsPerClient; ++r) {
+          const std::size_t k = (c * 11 + r * 5) % pool.size();
+          TaskRequest req = pool[k];
+          req.digest = digests[pool_graph[k]];
+          const std::string label =
+              req.task + " request " + std::to_string(k);
+          if ((c + r) % 4 == 0) {
+            const auto reply = client.advise(req);
+            EXPECT_TRUE(reply.ok()) << label << ": " << reply.body;
+            EXPECT_EQ(reply.field_u64("oracle_bits"), want[k].oracle_bits)
+                << label;
+          } else {
+            expect_reply_matches(client.run(req), want[k], label);
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    const AdviceCache::Stats cs = fx.service().cache_stats();
+    EXPECT_EQ(cs.hits + cs.misses, kClients * kRequestsPerClient);
+    EXPECT_GT(cs.evictions, 0u);
+    EXPECT_LE(cs.bytes, config.cache_budget_bytes);
+  });
 }
 
 TEST(ServiceErrors, BadRequestsGetInfrastructureStatus) {
@@ -319,100 +448,110 @@ TEST(ServiceErrors, MalformedFramesCloseTheConnection) {
 TEST(ServiceFlow, BackpressureRejectsWhenQueueIsFull) {
   ServiceConfig config;
   config.queue_limit = 1;
-  ServiceFixture fx(std::move(config));
-  ServiceClient staged(fx.socket_path());
-  const std::string digest = upload_grid(staged, 4, 4);
+  at_each_dispatcher_count(config, [](ServiceFixture& fx) {
+    ServiceClient staged(fx.socket_path());
+    const std::string digest = upload_grid(staged, 4, 4);
 
-  TaskRequest req;
-  req.digest = digest;
+    TaskRequest req;
+    req.digest = digest;
 
-  // Hold the dispatcher, stage one request to fill the queue (raw send —
-  // reading the reply now would block), then watch the next one bounce.
-  fx.service().pause_dispatching();
-  const std::string frame =
-      raw_frame(kOpAdvise, encode_task_request(req, false));
-  staged.send_raw(frame.data(), frame.size());
-  ASSERT_TRUE(fx.eventually([&] { return fx.service().queue_depth() == 1; }));
+    // Hold the dispatchers and stage one request to fill the queue (a raw
+    // send: reading the reply now would block), then watch the next one
+    // bounce.
+    fx.service().pause_dispatching();
+    const std::string frame =
+        raw_frame(kOpAdvise, encode_task_request(req, false));
+    staged.send_raw(frame.data(), frame.size());
+    ASSERT_TRUE(
+        fx.eventually([&] { return fx.service().queue_depth() == 1; }));
 
-  ServiceClient bounced(fx.socket_path());
-  const auto reply = bounced.advise(req);
-  EXPECT_EQ(reply.status, kStatusError);
-  EXPECT_NE(reply.field("error").find("overloaded"), std::string::npos)
-      << reply.body;
+    ServiceClient bounced(fx.socket_path());
+    const auto reply = bounced.advise(req);
+    EXPECT_EQ(reply.status, kStatusError);
+    EXPECT_NE(reply.field("error").find("overloaded"), std::string::npos)
+        << reply.body;
 
-  // Release the dispatcher: the staged request completes normally.
-  fx.service().resume_dispatching();
-  ServiceClient::Reply ok_reply;
-  ASSERT_TRUE(staged.read_reply(ok_reply));
-  EXPECT_TRUE(ok_reply.ok()) << ok_reply.body;
+    // Release the dispatchers: the staged request completes normally.
+    fx.service().resume_dispatching();
+    ServiceClient::Reply ok_reply;
+    ASSERT_TRUE(staged.read_reply(ok_reply));
+    EXPECT_TRUE(ok_reply.ok()) << ok_reply.body;
+  });
 }
 
 TEST(ServiceFlow, QueueDeadlineExpiresBeforeExecution) {
-  ServiceFixture fx;
-  ServiceClient client(fx.socket_path());
-  const std::string digest = upload_grid(client, 4, 4);
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient client(fx.socket_path());
+    const std::string digest = upload_grid(client, 4, 4);
 
-  TaskRequest req;
-  req.digest = digest;
-  req.deadline_ms = 1;
+    TaskRequest req;
+    req.digest = digest;
+    req.deadline_ms = 1;
 
-  fx.service().pause_dispatching();
-  const std::string frame = raw_frame(kOpRun, encode_task_request(req, true));
-  client.send_raw(frame.data(), frame.size());
-  ASSERT_TRUE(fx.eventually([&] { return fx.service().queue_depth() == 1; }));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fx.service().resume_dispatching();
+    fx.service().pause_dispatching();
+    const std::string frame =
+        raw_frame(kOpRun, encode_task_request(req, true));
+    client.send_raw(frame.data(), frame.size());
+    ASSERT_TRUE(
+        fx.eventually([&] { return fx.service().queue_depth() == 1; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fx.service().resume_dispatching();
 
-  ServiceClient::Reply reply;
-  ASSERT_TRUE(client.read_reply(reply));
-  EXPECT_EQ(reply.status, kStatusError);
-  EXPECT_NE(reply.field("error").find("deadline expired"), std::string::npos)
-      << reply.body;
+    ServiceClient::Reply reply;
+    ASSERT_TRUE(client.read_reply(reply));
+    EXPECT_EQ(reply.status, kStatusError);
+    EXPECT_NE(reply.field("error").find("deadline expired"), std::string::npos)
+        << reply.body;
 
-  // Without the artificial stall the same request sails through.
-  const auto fine = client.run(req);
-  EXPECT_TRUE(fine.ok()) << fine.body;
+    // Without the artificial stall the same request sails through.
+    const auto fine = client.run(req);
+    EXPECT_TRUE(fine.ok()) << fine.body;
+  });
 }
 
 TEST(ServiceFlow, GracefulDrainFinishesQueuedWork) {
-  ServiceFixture fx;
-  ServiceClient uploader(fx.socket_path());
-  const std::string digest = upload_grid(uploader, 6, 6);
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient uploader(fx.socket_path());
+    const std::string digest = upload_grid(uploader, 6, 6);
 
-  TaskRequest req;
-  req.digest = digest;
-  const std::string frame = raw_frame(kOpRun, encode_task_request(req, true));
+    TaskRequest req;
+    req.digest = digest;
+    const std::string frame =
+        raw_frame(kOpRun, encode_task_request(req, true));
 
-  // Three queued runs on three connections, dispatcher held.
-  fx.service().pause_dispatching();
-  std::vector<std::unique_ptr<ServiceClient>> clients;
-  for (int i = 0; i < 3; ++i) {
-    clients.push_back(std::make_unique<ServiceClient>(fx.socket_path()));
-    clients.back()->send_raw(frame.data(), frame.size());
-  }
-  ASSERT_TRUE(fx.eventually([&] { return fx.service().queue_depth() == 3; }));
+    // Three queued runs on three connections, dispatchers held.
+    fx.service().pause_dispatching();
+    std::vector<std::unique_ptr<ServiceClient>> clients;
+    for (int i = 0; i < 3; ++i) {
+      clients.push_back(std::make_unique<ServiceClient>(fx.socket_path()));
+      clients.back()->send_raw(frame.data(), frame.size());
+    }
+    ASSERT_TRUE(
+        fx.eventually([&] { return fx.service().queue_depth() == 3; }));
 
-  // Drain. Every queued request still gets its full answer.
-  fx.service().shutdown();
-  for (auto& client : clients) {
-    ServiceClient::Reply reply;
-    ASSERT_TRUE(client->read_reply(reply));
-    EXPECT_TRUE(reply.ok()) << reply.body;
-    EXPECT_EQ(reply.field("status"), "completed");
-    ASSERT_FALSE(client->read_reply(reply));  // then EOF
-  }
-  fx.service().wait();
-  // Post-drain the socket is gone: new connections are refused.
-  EXPECT_THROW(ServiceClient{fx.socket_path()}, ServiceError);
+    // Drain. Every queued request still gets its full answer.
+    fx.service().shutdown();
+    for (auto& client : clients) {
+      ServiceClient::Reply reply;
+      ASSERT_TRUE(client->read_reply(reply));
+      EXPECT_TRUE(reply.ok()) << reply.body;
+      EXPECT_EQ(reply.field("status"), "completed");
+      ASSERT_FALSE(client->read_reply(reply));  // then EOF
+    }
+    fx.service().wait();
+    // Post-drain the socket is gone: new connections are refused.
+    EXPECT_THROW(ServiceClient{fx.socket_path()}, ServiceError);
+  });
 }
 
 TEST(ServiceFlow, ShutdownRequestAnswersThenDrains) {
-  ServiceFixture fx;
-  ServiceClient client(fx.socket_path());
-  const auto reply = client.shutdown_server();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.field_u64("draining"), 1u);
-  fx.service().wait();  // returns: the request really did stop the service
+  at_each_dispatcher_count({}, [](ServiceFixture& fx) {
+    ServiceClient client(fx.socket_path());
+    const auto reply = client.shutdown_server();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.field_u64("draining"), 1u);
+    fx.service().wait();  // returns: the request really did stop the service
+  });
 }
 
 TEST(ServiceFlow, ShutdownRequestThenWaitNeverHangs) {
@@ -421,16 +560,20 @@ TEST(ServiceFlow, ShutdownRequestThenWaitNeverHangs) {
   // conn_fds_ before shutdown() has applied SHUT_RD to them leaves the
   // thread blocked in read_frame on the still-open client, and wait()
   // joining it forever. The window is narrow, so repeat the flow many
-  // times; a hang fails the test (and the process) at the deadline
-  // instead of stalling ctest.
+  // times at each dispatcher count; a hang fails the test (and the
+  // process) at the deadline instead of stalling ctest.
   constexpr int kRounds = 1000;
   auto rounds = std::async(std::launch::async, [] {
     for (int i = 0; i < kRounds; ++i) {
-      ServiceFixture fx;
-      ServiceClient client(fx.socket_path());
-      const auto reply = client.shutdown_server();
-      EXPECT_TRUE(reply.ok()) << "round " << i;
-      fx.service().wait();  // client still connected while the drain runs
+      for (const std::size_t jobs : kDispatcherCounts) {
+        ServiceConfig config;
+        config.jobs = jobs;
+        ServiceFixture fx(std::move(config));
+        ServiceClient client(fx.socket_path());
+        const auto reply = client.shutdown_server();
+        EXPECT_TRUE(reply.ok()) << "round " << i << ", jobs " << jobs;
+        fx.service().wait();  // client still connected during the drain
+      }
     }
   });
   if (rounds.wait_for(std::chrono::seconds(60)) !=

@@ -6,8 +6,10 @@
 //
 // Listens for advice-service protocol frames (src/service/protocol.h) on
 // the unix socket and serves a Prometheus scrape endpoint on
-// <socket>.metrics (or --metrics-socket). Runs until SIGINT/SIGTERM or a
-// Shutdown request, then drains gracefully: accepting stops, queued
+// <socket>.metrics (or --metrics-socket). --jobs N starts N dispatcher
+// threads (default 1; 0 = hardware concurrency), each executing its own
+// micro-batches of queued advise/run requests. Runs until SIGINT/SIGTERM
+// or a Shutdown request, then drains gracefully: accepting stops, queued
 // requests finish, responses flush.
 //
 // Exit code: 0 after a clean drain; 2 on a setup/infrastructure failure
@@ -45,7 +47,10 @@ void on_signal(int) {
             << "  oracled --socket PATH [--jobs N] [--cache-budget-bytes B]\n"
             << "          [--queue-limit N] [--max-frame-bytes N]\n"
             << "          [--max-batch N] [--metrics-socket PATH]\n"
-            << "          [--default-deadline-ms T]\n";
+            << "          [--default-deadline-ms T]\n"
+            << "\n"
+            << "  --jobs N  dispatcher threads executing queued advise/run\n"
+            << "            requests (default 1; 0 = hardware concurrency)\n";
   std::exit(2);
 }
 
@@ -128,7 +133,7 @@ int main(int argc, char** argv) {
 
   std::cout << "oracled listening on " << service.config().socket_path
             << " (metrics: " << service.config().metrics_socket_path
-            << ", jobs: " << service.config().jobs
+            << ", jobs: " << service.dispatchers()
             << ", cache budget: " << service.config().cache_budget_bytes
             << " bytes, queue limit: " << service.config().queue_limit
             << ")" << std::endl;
